@@ -7,7 +7,7 @@ logarithmic negativity), Monte Carlo conditional state preparation, and
 optimization of entanglement extraction by passive polarization operations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .condprep import (
     BandResult,

@@ -1,8 +1,10 @@
 """Quantum-correlation criteria for two-mode Gaussian states.
 
-Every criterion is evaluated on the signal/idler mode split.  Matrices given
-in the +-45 degree basis are converted first, so all scalars reported here
-are invariant under that basis change.
+Every criterion is evaluated on the signal/idler mode split, so all scalars
+reported here are invariant under the +-45 degree basis change.  Near
+threshold the signal/idler entries are large numbers whose differences carry
+the squeezing, so quantities with a +-45 degree or basis-free form are read
+off the matrix as it arrived.
 
 Conventions (vacuum variance = 1 throughout):
 
@@ -104,13 +106,14 @@ def gemellity_from_covariance(gamma: CovarianceMatrix, quadrature: str = "x_diff
     """Gemellity of the X difference or antigemellity of the P sum.
 
     ``quadrature`` is ``"x_difference"`` for G_X = (G11 + G33 - 2 G13)/2 or
-    ``"p_sum"`` for G_P = (G22 + G44 + 2 G24)/2.
+    ``"p_sum"`` for G_P = (G22 + G44 + 2 G24)/2, read off the +-45 degree
+    basis as G_X = Var X_- and G_P = Var P_+.
     """
-    m = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries
+    m = to_basis(gamma, ModeBasis.PLUS_MINUS).entries
     if quadrature == "x_difference":
-        return float((m[0, 0] + m[2, 2] - 2.0 * m[0, 2]) / 2.0)
+        return float(m[2, 2])
     if quadrature == "p_sum":
-        return float((m[1, 1] + m[3, 3] + 2.0 * m[1, 3]) / 2.0)
+        return float(m[1, 1])
     raise ValueError(f"quadrature must be 'x_difference' or 'p_sum', got {quadrature!r}")
 
 
@@ -168,17 +171,53 @@ def eof(i: float) -> float:
     return c_plus * math.log2(c_plus) - c_minus * math.log2(c_minus)
 
 
+def _det2(m: np.ndarray) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def _conditional_variance(gamma: CovarianceMatrix, quadrature: int) -> float:
+    """Var of quadrature 0 (X) or 1 (P) of beam 1 given beam 2: the Schur
+    complement G_qq - G_q,q+2^2 / G_q+2,q+2, evaluated as det / G_q+2,q+2
+    with the basis-invariant det of that quadrature's 2x2 block as arrived.
+    """
+    var_2 = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries[2 + quadrature, 2 + quadrature]
+    if var_2 <= 0.0:
+        raise DegenerateVarianceError(
+            f"Var {'XP'[quadrature]}_2 must be positive, got {var_2}"
+        )
+    return float(_det2(gamma.entries[quadrature::2, quadrature::2]) / var_2)
+
+
 def epr_product(gamma: CovarianceMatrix) -> float:
     """Product of the X and P conditional variances across the two beams."""
+    return _conditional_variance(gamma, 0) * _conditional_variance(gamma, 1)
+
+
+def _seralian(gamma: CovarianceMatrix) -> tuple[float, float]:
+    """``(D, det G)``, D = det g_A + det g_B - 2 det s_AB on signal/idler blocks.
+
+    det G is basis-invariant and taken from the entries as they arrived: near
+    threshold it is ~1 while the signal/idler entries are ~V_anti/2.  D
+    (V_anti^2 + V_sq^2 for the ideal state) has no such cancellation.
+    """
     m = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries
-    var_x2, var_p2 = m[2, 2], m[3, 3]
-    if var_x2 <= 0.0 or var_p2 <= 0.0:
-        raise DegenerateVarianceError(
-            f"conditioning variances must be positive, got {var_x2}, {var_p2}"
+    d = _det2(m[:2, :2]) + _det2(m[2:, 2:]) - 2.0 * _det2(m[:2, 2:])
+    return d, gamma.determinant()
+
+
+def _negativity(d: float, det: float) -> tuple[float, float]:
+    """``(e_n, xi)`` from the seralian D and det G of the state."""
+    disc = d * d - 4.0 * det
+    # both terms are ~D^2, so rounding alone leaves |disc| up to a few eps D^2
+    if disc < -1e-9 * max(1.0, d * d):
+        raise NumericalFailureError(f"negative discriminant {disc:.3e}: inconsistent matrix")
+    denom = d + math.sqrt(max(disc, 0.0))
+    if denom <= 0.0 or det <= 0.0:
+        raise NumericalFailureError(
+            f"non-positive xi^2 (D = {d:.3e}, det = {det:.3e}): inconsistent matrix"
         )
-    v_x = m[0, 0] - m[0, 2] ** 2 / var_x2
-    v_p = m[1, 1] - m[1, 3] ** 2 / var_p2
-    return float(v_x * v_p)
+    xi = math.sqrt(2.0 * det / denom)
+    return max(0.0, -math.log2(xi)), xi
 
 
 def log_negativity(gamma: CovarianceMatrix) -> tuple[float, float]:
@@ -187,25 +226,13 @@ def log_negativity(gamma: CovarianceMatrix) -> tuple[float, float]:
     Returns ``(e_n, xi)`` where xi is the smallest symplectic eigenvalue of
     the partially transposed matrix,
 
-        xi^2 = (D - sqrt(D^2 - 4 det G)) / 2,
+        xi^2 = 2 det G / (D + sqrt(D^2 - 4 det G)),
         D    = det g_A + det g_B - 2 det s_AB,
 
-    and e_n = max(0, -log2 xi).  The state is entangled iff xi < 1.
+    and e_n = max(0, -log2 xi).  The state is entangled iff xi < 1.  The
+    conjugate of (D - sqrt(D^2 - 4 det G)) / 2 avoids its cancellation.
     """
-    si = to_basis(gamma, ModeBasis.SIGNAL_IDLER)
-    d = (
-        float(np.linalg.det(si.block_a))
-        + float(np.linalg.det(si.block_b))
-        - 2.0 * float(np.linalg.det(si.cross))
-    )
-    disc = d * d - 4.0 * si.determinant()
-    if disc < -1e-9:
-        raise NumericalFailureError(f"negative discriminant {disc:.3e}: inconsistent matrix")
-    xi2 = (d - math.sqrt(max(disc, 0.0))) / 2.0
-    if xi2 <= 0.0:
-        raise NumericalFailureError(f"non-positive xi^2 = {xi2:.3e}: inconsistent matrix")
-    xi = math.sqrt(xi2)
-    return max(0.0, -math.log2(xi)), xi
+    return _negativity(*_seralian(gamma))
 
 
 def max_log_negativity(gamma: CovarianceMatrix) -> float:
@@ -315,28 +342,23 @@ def classify(
     matrix; the negativities always come from the matrix.
     """
     si = to_basis(gamma, ModeBasis.SIGNAL_IDLER)
-    m = si.entries
 
     if stats_x is not None:
         g_x = gemellity_from_stats(stats_x)
         v_x = conditional_variance_from_stats(stats_x)
     else:
-        g_x = gemellity_from_covariance(si, "x_difference")
-        if m[2, 2] <= 0.0:
-            raise DegenerateVarianceError(f"Var X_2 must be positive, got {m[2, 2]}")
-        v_x = float(m[0, 0] - m[0, 2] ** 2 / m[2, 2])
+        g_x = gemellity_from_covariance(gamma, "x_difference")
+        v_x = _conditional_variance(gamma, 0)
 
     if stats_p is not None:
         g_p = gemellity_from_stats(stats_p)
         v_p = conditional_variance_from_stats(stats_p)
     else:
-        g_p = gemellity_from_covariance(si, "p_sum")
-        if m[3, 3] <= 0.0:
-            raise DegenerateVarianceError(f"Var P_2 must be positive, got {m[3, 3]}")
-        v_p = float(m[1, 1] - m[1, 3] ** 2 / m[3, 3])
+        g_p = gemellity_from_covariance(gamma, "p_sum")
+        v_p = _conditional_variance(gamma, 1)
 
     sep = (g_x + g_p) / 2.0
-    e_n, xi = log_negativity(si)
+    e_n, xi = log_negativity(gamma)
     report = CriteriaReport(
         gemellity_x=g_x,
         antigemellity_p=g_p,
@@ -347,7 +369,7 @@ def classify(
         epr_product=v_x * v_p,
         xi=xi,
         log_negativity=e_n,
-        max_log_negativity=max_log_negativity(si),
+        max_log_negativity=max_log_negativity(gamma),
         standard_form=is_standard_form(si),
         balanced=is_balanced(si),
         nonclassical_correlation=min(g_x, g_p) < 1.0,

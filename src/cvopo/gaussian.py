@@ -156,17 +156,18 @@ def is_physical(gamma: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> tuple[
 
 
 # 50/50 mixing map taking (X_1, P_1, X_2, P_2) to (X_+, P_+, X_-, P_-) with
-# X_pm = (X_1 +- X_2)/sqrt(2) and likewise for P.  Symmetric orthogonal, so
-# it is its own inverse.
-_SQ2 = 1.0 / math.sqrt(2.0)
-_S_PM = np.array(
+# X_pm = (X_1 +- X_2)/sqrt(2) and likewise for P.  _S_PM = _H_PM / sqrt(2) is
+# symmetric orthogonal, so it is its own inverse.
+_H_PM = np.array(
     [
-        [_SQ2, 0.0, _SQ2, 0.0],
-        [0.0, _SQ2, 0.0, _SQ2],
-        [_SQ2, 0.0, -_SQ2, 0.0],
-        [0.0, _SQ2, 0.0, -_SQ2],
+        [1.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 1.0],
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
     ]
 )
+_H_PM.setflags(write=False)
+_S_PM = _H_PM / math.sqrt(2.0)
 _S_PM.setflags(write=False)
 
 
@@ -174,9 +175,11 @@ def change_basis_pm(gamma: CovarianceMatrix) -> CovarianceMatrix:
     """Switch between the signal/idler and +-45 degree superposition bases.
 
     The map is an involution: applying it twice returns the original matrix.
-    Determinant and symplectic spectrum are preserved.
+    Determinant and symplectic spectrum are preserved.  Evaluated as
+    H Gamma H^T / 2 with the +-1 matrix H, so only sums, differences and an
+    exact halving touch the entries (vacuum maps to exactly the identity).
     """
-    out = _S_PM @ gamma.entries @ _S_PM.T
+    out = _H_PM @ gamma.entries @ _H_PM.T / 2.0
     return make_covariance((out + out.T) / 2.0, gamma.basis.flipped())
 
 

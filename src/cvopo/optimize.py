@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import log_negativity, max_log_negativity
+from .criteria import _negativity, _seralian, max_log_negativity
 from .gaussian import (
     CovarianceMatrix,
     ModeBasis,
@@ -35,19 +35,21 @@ __all__ = [
     "optimize_nonlocal_phase",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: The search interval: rotating A- by pi swaps the signal and idler modes,
-#: which leaves the log negativity unchanged, so E_N(phi) is pi-periodic.
+#: Rotating A- by pi swaps the signal and idler modes, which leaves the log
+#: negativity unchanged, so E_N(phi) is pi-periodic.
 _PERIOD = math.pi
+
+#: Phases at which D(phi) is sampled to fix its three Fourier coefficients.
+_PROBES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
     """Result of a phase-shift optimization.
 
-    ``trace`` records every (phi, E_N) evaluation in order; the transformed
-    state is returned in both mode bases.
+    ``trace`` records every (phi, E_N) evaluation in order: the three probe
+    phases, then the D optimum phi*.  The transformed state is returned in
+    both mode bases.
     """
 
     best_phase: float
@@ -60,75 +62,38 @@ class OptimizationOutcome:
     state_signal_idler: CovarianceMatrix
 
 
-def _phase_objective(gamma_pm: CovarianceMatrix):
-    entries = gamma_pm.entries
+def optimize_nonlocal_phase(gamma: CovarianceMatrix) -> OptimizationOutcome:
+    """Maximize E_N over a phase shift of A- relative to A+, in closed form.
 
-    def evaluate(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
-        r = np.eye(4)
-        r[2:, 2:] = [[c, s], [-s, c]]
-        shifted = CovarianceMatrix(entries=r @ entries @ r.T, basis=ModeBasis.PLUS_MINUS)
-        return log_negativity(shifted)[0]
-
-    return evaluate
-
-
-def optimize_nonlocal_phase(
-    gamma: CovarianceMatrix, grid_points: int = 721, phase_tol: float = 1e-6
-) -> OptimizationOutcome:
-    """Maximize E_N over a phase shift of A- relative to A+.
-
-    Dense grid over [0, pi) followed by golden-section refinement of the
-    best bracket down to ``phase_tol`` in phi.  Derivative-free on purpose:
-    E_N(phi) can be flat-topped near the optimum.  Ties on the grid resolve
-    to the smallest phase within 1e-9 in E_N.
+    The shift leaves det G unchanged, and xi^2 = 2 det G / (D + sqrt(D^2 -
+    4 det G)) falls strictly as the seralian D grows, so the E_N optimum is
+    the D optimum.  D(phi) = a + b cos 2phi + c sin 2phi: probes at 0, pi/4
+    and pi/2 give b and c, and the maximum sits at phi* = atan2(c, b)/2
+    mod pi.  When phi* gains no more than 1e-9 in E_N over phi = 0 (flat D,
+    or a state separable at every phase) the result is phi = 0.
     """
     pm = to_basis(gamma, ModeBasis.PLUS_MINUS)
-    evaluate = _phase_objective(pm)
     trace: list[tuple[float, float]] = []
 
-    def logged(phi: float) -> float:
-        value = evaluate(phi)
-        trace.append((phi, value))
-        return value
+    def evaluate(phi: float) -> tuple[float, CovarianceMatrix]:
+        shifted = apply_passive(pm, phase_shift(1, phi))
+        d, det = _seralian(shifted)
+        trace.append((phi, _negativity(d, det)[0]))
+        return d, shifted
 
-    phis = np.linspace(0.0, _PERIOD, grid_points, endpoint=False)
-    values = [logged(float(p)) for p in phis]
-    best = max(values)
-    best_idx = next(i for i, v in enumerate(values) if v >= best - 1e-9)
+    (d0, at_zero), (d1, _), (d2, _) = [evaluate(phi) for phi in _PROBES]
+    best_phase = 0.5 * math.atan2(d1 - (d0 + d2) / 2.0, (d0 - d2) / 2.0) % _PERIOD
+    after_pm = evaluate(best_phase)[1]
+    e_n_before, e_n_after = trace[0][1], trace[-1][1]
+    if e_n_after <= e_n_before + 1e-9:
+        best_phase, e_n_after, after_pm = 0.0, e_n_before, at_zero
 
-    # golden-section on the bracket around the grid maximum
-    step = _PERIOD / grid_points
-    lo = phis[best_idx] - step
-    hi = phis[best_idx] + step
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = logged(x1), logged(x2)
-    while hi - lo > phase_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = logged(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = logged(x1)
-
-    best_phase, e_n_after = max(trace, key=lambda t: t[1])
-    best_phase = best_phase % _PERIOD
-    # grid ties already resolved to the smallest phase; keep the grid point
-    # when refinement gained nothing beyond the tie tolerance
-    if abs(values[best_idx] - e_n_after) <= 1e-9:
-        best_phase, e_n_after = float(phis[best_idx]), values[best_idx]
-
-    transform = phase_shift(1, best_phase)
-    after_pm = apply_passive(pm, transform)
     return OptimizationOutcome(
         best_phase=best_phase,
-        e_n_before=log_negativity(pm)[0],
+        e_n_before=e_n_before,
         e_n_after=e_n_after,
         e_n_max=max_log_negativity(pm),
-        transform=transform,
+        transform=phase_shift(1, best_phase),
         trace=tuple(trace),
         state_plus_minus=after_pm,
         state_signal_idler=change_basis_pm(after_pm),

@@ -152,6 +152,16 @@ class TestOpoSweep:
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["log_negativity"]) == pytest.approx(4.06, abs=0.01)
 
+    @pytest.mark.parametrize("sigma", ["0.99", "0.999"])
+    def test_near_threshold_point(self, capsys, sigma):
+        code, out, _ = run_cli(capsys, "opo-sweep", "--sigma", sigma)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["log_negativity"]) == pytest.approx(
+            -math.log2(float(cells["v_sq"])), rel=1e-12
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -23,6 +23,7 @@ from cvopo import (
     make_covariance,
     max_log_negativity,
     phase_shift,
+    polarization_rotation,
     separability,
     symmetric_covariance,
     vacuum_state,
@@ -40,7 +41,7 @@ from cvopo.errors import (
     NonPositiveVarianceError,
     NumericalFailureError,
 )
-from cvopo.opo import OpoParams, below_threshold_covariance
+from cvopo.opo import OpoParams, below_threshold_covariance, below_threshold_variances
 
 from conftest import random_physical_state
 
@@ -239,6 +240,38 @@ class TestLogNegativity:
         assert log_negativity(change_basis_pm(state))[0] == pytest.approx(
             log_negativity(state)[0], abs=1e-9
         )
+
+    @pytest.mark.parametrize("sigma", [0.9, 0.98, 0.99, 0.995, 0.999])
+    @pytest.mark.parametrize("omega", [0.0, 0.05])
+    @pytest.mark.parametrize("eta", [1.0, 0.99, 0.95])
+    def test_near_threshold_xi(self, sigma, omega, eta):
+        # the ideal +-45 degree state is diagonal, and xi, G_X and the two
+        # smallest eigenvalues all equal the lossy squeezed variance
+        v_sq, _ = below_threshold_variances(sigma, omega)
+        expected = eta * v_sq + (1.0 - eta)
+        report = classify(below_threshold_covariance(OpoParams(sigma, omega, eta)))
+        assert report.xi == pytest.approx(expected, rel=1e-12)
+        assert report.gemellity_x == pytest.approx(expected, rel=1e-12)
+        assert report.log_negativity == pytest.approx(-math.log2(expected), rel=1e-12)
+        assert report.max_log_negativity == pytest.approx(-math.log2(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [123.4, 2.7e3, 3.1e4, 5.5e5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scrambled_thermal_state(self, n, seed):
+        # Gamma = n I stays n I under passive optics up to rounding; both
+        # partial-transpose eigenvalues equal n, so D^2 - 4 det G is 0
+        rng = np.random.default_rng(seed)
+        scramble = composite(
+            [
+                phase_shift(0, rng.uniform(0.0, 2.0 * np.pi)),
+                polarization_rotation(rng.uniform(0.0, np.pi)),
+                phase_shift(1, rng.uniform(0.0, 2.0 * np.pi)),
+            ]
+        )
+        state = apply_passive(make_covariance(n * np.eye(4), ModeBasis.SIGNAL_IDLER), scramble)
+        e_n, xi = log_negativity(state)
+        assert e_n == 0.0
+        assert xi == pytest.approx(n, rel=1e-6)
 
     def test_inconsistent_matrix_rejected(self):
         entries = np.array(

@@ -5,6 +5,7 @@ import pytest
 
 from cvopo import (
     CoupledStateParams,
+    CovarianceMatrix,
     ModeBasis,
     OpoParams,
     apply_passive,
@@ -120,9 +121,37 @@ class TestOptimizeNonlocalPhase:
 
     def test_trace_records_evaluations(self, a1a2_state):
         outcome = optimize_nonlocal_phase(a1a2_state)
-        assert len(outcome.trace) >= 721
+        assert len(outcome.trace) == 4
         phis, values = zip(*outcome.trace)
+        assert phis[:3] == (0.0, math.pi / 4, math.pi / 2)
+        assert phis[3] == outcome.best_phase
         assert max(values) == outcome.e_n_after
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_scan_on_correlated_modes(self, seed):
+        # random_physical_state correlates the +-45 modes, which the closed-form
+        # scan above does not cover; scan log_negativity itself instead
+        pm = change_basis_pm(random_physical_state(np.random.default_rng(seed)))
+        outcome = optimize_nonlocal_phase(pm)
+        best = -np.inf
+        for phi in np.linspace(0.0, np.pi, 20_000, endpoint=False):
+            c, s = np.cos(phi), np.sin(phi)
+            r = np.eye(4)
+            r[2:, 2:] = [[c, s], [-s, c]]
+            shifted = CovarianceMatrix(entries=r @ pm.entries @ r.T, basis=ModeBasis.PLUS_MINUS)
+            best = max(best, log_negativity(shifted)[0])
+        assert outcome.e_n_after >= best - 1e-9
+
+    def test_separable_at_every_phase_keeps_zero_phase(self):
+        # Gamma >= I, so E_N = 0 for every phase; the D optimum would sit at 0.4
+        c, s = math.cos(0.4), math.sin(0.4)
+        rot = np.array([[c, -s], [s, c]])
+        entries = np.zeros((4, 4))
+        entries[:2, :2] = np.diag([3.0, 2.0])
+        entries[2:, 2:] = rot @ np.diag([1.5, 4.0]) @ rot.T
+        outcome = optimize_nonlocal_phase(make_covariance(entries, ModeBasis.PLUS_MINUS))
+        assert outcome.best_phase == 0.0
+        assert outcome.e_n_after == 0.0
 
 
 class TestDiagonalizingPhase:
