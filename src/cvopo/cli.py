@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .condprep import (
-    CondPrepConfig,
-    band_centers,
-    conditional_select,
-    run_conditional_prep,
-    sample_photocurrents,
-)
+from .condprep import CondPrepConfig, run_conditional_prep
 from .criteria import classify, eof, gemellity_from_covariance, log_negativity, separability
 from .errors import CvopoError, FormatError
 from .fixtures import CONDPREP_REFERENCE, fixture_names, write_fixtures
@@ -178,19 +172,37 @@ def _condprep_config(args) -> CondPrepConfig:
     return CondPrepConfig(**fields)
 
 
+class _SelectedDump:
+    """``run_conditional_prep`` sink writing (band, value) CSV rows.
+
+    The file is opened on the first block, so a run rejected before
+    sampling leaves no file behind.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = None
+
+    def __call__(self, bands, values) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8", newline="")
+            self._writer = csv.writer(self._fh, lineterminator="\n")
+            self._writer.writerow(["band", "selected_signal"])
+        self._writer.writerows(zip(bands.tolist(), map(repr, values.tolist())))
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+
 def _cmd_condprep(args) -> int:
     cfg = _condprep_config(args)
-    result = run_conditional_prep(cfg)
-    if args.dump_selected:
-        i_s, i_i = sample_photocurrents(cfg)
-        with open(args.dump_selected, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["band", "selected_signal"])
-            for index, center in enumerate(band_centers(cfg)):
-                for value in conditional_select(
-                    i_s, i_i, float(center), cfg.selection_halfwidth
-                ):
-                    writer.writerow([index, repr(float(value))])
+    dump = _SelectedDump(args.dump_selected) if args.dump_selected else None
+    try:
+        result = run_conditional_prep(cfg, dump)
+    finally:
+        if dump is not None:
+            dump.close()
     if result.empty_selection:
         _err("empty selection: no idler samples fell inside the band(s)")
     sys.stdout.write(dumps_canonical(condprep_result_to_document(result, cfg)))

@@ -9,6 +9,16 @@ F (1 - C12^2) as the band shrinks.
 Sampling is deterministic: the record is produced in fixed-size blocks,
 each seeded independently from (seed, block index), so any parallel chunking
 over whole blocks reproduces the sequential record exactly.
+
+``run_conditional_prep`` streams: it bins each block's idler once, keeps
+per-band (count, mean, M2) moments and merges them block by block in block
+order (Chan, Golub & LeVeque 1979), so it never holds the record and needs
+O(BLOCK_SIZE + n_bands) memory.  The bands are half-open: band k holds the
+samples with k = floor((I_i - lo) / 2h), that is lo + 2hk <= I_i <
+lo + 2h(k+1) up to the rounding of that quotient, where lo = centers[0] - h;
+a sample on an edge shared by two bands counts in the upper one only.  An
+infinite halfwidth puts every sample in band 0.  ``conditional_select``
+keeps its own closed window |I_i - c| <= h.
 """
 
 from __future__ import annotations
@@ -47,8 +57,8 @@ class CondPrepConfig:
     """Configuration of one conditional-preparation run.
 
     ``band_halfwidth`` is interpreted per ``band_convention``: the default
-    ``"half_width"`` selects |I_i - I_0| <= band_halfwidth, while
-    ``"full_width"`` treats the value as the total width of the window.
+    ``"half_width"`` selects I_0 - h <= I_i < I_0 + h with h = band_halfwidth,
+    while ``"full_width"`` treats the value as the total width of the window.
     ``band_center`` (single band) and band positions are in sigma_0 units
     offset from the mean.
     """
@@ -139,18 +149,26 @@ def conditional_select(
     return i_s[mask]
 
 
-def estimate_fano(values: np.ndarray, sigma0: float = 1.0) -> tuple[float, float]:
-    """Fano factor Var(values)/sigma_0^2 with its asymptotic standard error.
+def _fano_from_moments(n: int, m2: float, sigma0: float = 1.0) -> tuple[float, float]:
+    """Fano factor M2/(n-1)/sigma_0^2 and its standard error; NaN for n < 2.
 
-    The variance is the unbiased (n-1) estimator; the standard error follows
-    from the Gaussian fourth-moment expression Var(s^2) = 2 sigma^4 / (n-1).
+    M2 is the sum of squared deviations from the mean, so M2/(n-1) is the
+    unbiased variance; the standard error follows from the Gaussian
+    fourth-moment expression Var(s^2) = 2 sigma^4 / (n-1).
     """
+    if n < 2:
+        return math.nan, math.nan
+    fano = m2 / (n - 1) / sigma0**2
+    return fano, fano * math.sqrt(2.0 / (n - 1))
+
+
+def estimate_fano(values: np.ndarray, sigma0: float = 1.0) -> tuple[float, float]:
+    """Fano factor Var(values)/sigma_0^2 with its asymptotic standard error."""
     n = int(values.size)
     if n < MIN_SELECTED:
         raise TooFewSamplesError(f"need at least {MIN_SELECTED} selected values, got {n}")
-    fano = float(np.var(values, ddof=1)) / sigma0**2
-    stderr = fano * math.sqrt(2.0 / (n - 1))
-    return fano, stderr
+    deviations = values - values.mean()
+    return _fano_from_moments(n, float(np.dot(deviations, deviations)), sigma0)
 
 
 def band_centers(cfg: CondPrepConfig) -> np.ndarray:
@@ -189,15 +207,45 @@ class CondPrepResult:
     per_band: tuple[BandResult, ...] = field(default=())
 
 
-def _band_estimate(selected: np.ndarray) -> tuple[float, float]:
-    if selected.size < 2:
-        return math.nan, math.nan
-    fano = float(np.var(selected, ddof=1))
-    return fano, fano * math.sqrt(2.0 / (selected.size - 1))
+def _band_index(i_i: np.ndarray, lo: float, h: float, n_bands: int):
+    """(mask, band index) of the idler values that fall in a band.
+
+    Band k is the half-open [lo + 2hk, lo + 2h(k+1)), k = 0 .. n_bands - 1;
+    an infinite halfwidth puts every value in band 0.
+    """
+    if math.isinf(h):
+        return np.ones(i_i.size, dtype=bool), np.zeros(i_i.size, dtype=np.intp)
+    q = np.floor((i_i - lo) / (2.0 * h))
+    mask = (q >= 0.0) & (q < n_bands)
+    return mask, q[mask].astype(np.intp)
 
 
-def run_conditional_prep(cfg: CondPrepConfig) -> CondPrepResult:
+def _merge_moments(count, mean, m2, bands: np.ndarray, values: np.ndarray) -> None:
+    """Fold one block's per-band (count, mean, M2) into the running totals.
+
+    The block's moments come from ``np.bincount`` (counts, sums, then squared
+    deviations from the block mean); the pairwise update of Chan, Golub &
+    LeVeque (1979) merges them in place.
+    """
+    n_block = np.bincount(bands, minlength=count.size)
+    mean_block = np.bincount(bands, weights=values, minlength=count.size) / np.maximum(n_block, 1)
+    deviations = values - mean_block[bands]
+    m2_block = np.bincount(bands, weights=deviations * deviations, minlength=count.size)
+    total = count + n_block
+    delta = mean_block - mean
+    share = n_block / np.maximum(total, 1)
+    mean += delta * share
+    m2 += m2_block + delta * delta * count * share
+    count[:] = total
+
+
+def run_conditional_prep(cfg: CondPrepConfig, sink=None) -> CondPrepResult:
     """Sample, select on the idler band(s) and estimate the conditioned Fano.
+
+    One pass over the blocks, in block order; the full record is never
+    built.  ``sink``, when given, is called once per block with the band
+    index and the signal value of each selected sample of that block, in
+    record order.
 
     For several bands the headline Fano is the count-weighted mean of the
     per-band estimates (each band prepares its own conditioned ensemble;
@@ -207,26 +255,37 @@ def run_conditional_prep(cfg: CondPrepConfig) -> CondPrepResult:
         raise OutOfRangeError(
             f"statistics need at least {MIN_SAMPLES} samples, got {cfg.n_samples}"
         )
-    i_s, i_i = sample_photocurrents(cfg)
     h = cfg.selection_halfwidth
+    centers = band_centers(cfg)
+    lo = float(centers[0]) - h
+    count = np.zeros(cfg.n_bands, dtype=np.int64)
+    mean = np.zeros(cfg.n_bands)
+    m2 = np.zeros(cfg.n_bands)
+    for block in range((cfg.n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        i_s, i_i = sample_block(cfg, block)
+        stop = cfg.n_samples - block * BLOCK_SIZE
+        mask, bands = _band_index(i_i[:stop], lo, h, cfg.n_bands)
+        values = i_s[:stop][mask]
+        if sink is not None:
+            sink(bands, values)
+        _merge_moments(count, mean, m2, bands, values)
 
-    bands = []
-    for center in band_centers(cfg):
-        selected = conditional_select(i_s, i_i, float(center), h)
-        fano, stderr = _band_estimate(selected)
-        bands.append(
+    per_band = []
+    for center, n, band_m2 in zip(centers, count.tolist(), m2.tolist()):
+        fano, stderr = _fano_from_moments(n, band_m2)
+        per_band.append(
             BandResult(
                 center=float(center),
                 halfwidth=h,
-                count=int(selected.size),
-                success_rate=selected.size / cfg.n_samples,
+                count=n,
+                success_rate=n / cfg.n_samples,
                 fano=fano,
                 fano_stderr=stderr,
             )
         )
 
-    total = sum(b.count for b in bands)
-    rate = sum(b.success_rate for b in bands)
+    total = sum(b.count for b in per_band)
+    rate = sum(b.success_rate for b in per_band)
     if total == 0:
         return CondPrepResult(
             fano_conditioned=math.nan,
@@ -235,9 +294,9 @@ def run_conditional_prep(cfg: CondPrepConfig) -> CondPrepResult:
             n_selected=0,
             n_samples=cfg.n_samples,
             empty_selection=True,
-            per_band=tuple(bands),
+            per_band=tuple(per_band),
         )
-    weighted = [(b.count / total, b) for b in bands if not math.isnan(b.fano)]
+    weighted = [(b.count / total, b) for b in per_band if not math.isnan(b.fano)]
     fano = sum(w * b.fano for w, b in weighted)
     stderr = math.sqrt(sum((w * b.fano_stderr) ** 2 for w, b in weighted))
     return CondPrepResult(
@@ -247,5 +306,5 @@ def run_conditional_prep(cfg: CondPrepConfig) -> CondPrepResult:
         n_selected=total,
         n_samples=cfg.n_samples,
         empty_selection=False,
-        per_band=tuple(bands),
+        per_band=tuple(per_band),
     )

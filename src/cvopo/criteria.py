@@ -160,15 +160,20 @@ def eof(i: float) -> float:
 
     Returns c+ log2(c+) - c- log2(c-) with c+- = (i^-1/2 +- i^1/2)^2 / 4 for
     i < 1, and 0 for i >= 1 (the formula's continuous limit at i = 1).
+
+    Both terms grow like log2(i)/(4i) as i -> 0 and cancel, so the value is
+    evaluated as [2 log1p(u) + 4 c- atanh(i)] / ln 2, using c+ - c- = 1,
+    c+/c- = ((1+i)/(1-i))^2 and ln c+ = 2 log1p(u),
+    u = ((1-i)/(1+sqrt i))^2 / (2 sqrt i).
     """
     if i <= 0.0:
         raise NonPositiveSeparabilityError(f"separability must be positive, got {i}")
     if i >= 1.0:
         return 0.0
     root = math.sqrt(i)
-    c_plus = (1.0 / root + root) ** 2 / 4.0
-    c_minus = (1.0 / root - root) ** 2 / 4.0
-    return c_plus * math.log2(c_plus) - c_minus * math.log2(c_minus)
+    u = ((1.0 - i) / (1.0 + root)) ** 2 / (2.0 * root)
+    c_minus = (1.0 - i) ** 2 / (4.0 * i)
+    return (2.0 * math.log1p(u) + 4.0 * c_minus * math.atanh(i)) / math.log(2.0)
 
 
 def _det2(m: np.ndarray) -> float:

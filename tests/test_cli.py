@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,14 @@ class TestOpoSweep:
         assert float(cells["v_sq"]) == pytest.approx(0.331, abs=1e-9)
         assert float(cells["eof_ebits"]) == pytest.approx(1.09, abs=5e-3)
 
+    def test_eof_near_threshold(self, capsys):
+        # separability 2.5e-17: c+ log2 c+ - c- log2 c- would cancel to 0.0
+        code, out, _ = run_cli(capsys, "opo-sweep", "--sigma", "0.99999999")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["eof_ebits"]) == pytest.approx(54.5935, abs=1e-3)
+
     def test_sigma_major_ordering(self, capsys):
         code, out, _ = run_cli(
             capsys, "opo-sweep", "--sigma", "0.1:0.3:3", "--omega", "0:1:2"
@@ -238,6 +247,10 @@ class TestCondprep:
         lines = dump.read_text().strip().split("\n")
         assert lines[0] == "band,selected_signal"
         assert len(lines) - 1 == doc["n_selected"]
+        rows_per_band = Counter(int(line.split(",")[0]) for line in lines[1:])
+        assert [rows_per_band[i] for i in range(len(doc["per_band"]))] == [
+            band["count"] for band in doc["per_band"]
+        ]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

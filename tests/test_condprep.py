@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cvopo.condprep
 from cvopo.condprep import (
     BLOCK_SIZE,
     CondPrepConfig,
@@ -13,6 +15,7 @@ from cvopo.condprep import (
     sample_block,
     sample_photocurrents,
 )
+from cvopo.condprep import _band_index, _fano_from_moments
 from cvopo.errors import BadCorrelationError, OutOfRangeError, TooFewSamplesError
 from cvopo.fixtures import CONDPREP_REFERENCE
 
@@ -172,6 +175,15 @@ class TestFanoEstimate:
         fano_scaled, _ = estimate_fano(values, sigma0=3.0)
         assert fano_scaled == pytest.approx(fano_unit / 9.0, rel=1e-12)
 
+    def test_matches_unbiased_variance(self):
+        values = np.random.default_rng(2).standard_normal(1000) * 2.0 + 40.0
+        fano, _ = estimate_fano(values)
+        assert fano == pytest.approx(float(np.var(values, ddof=1)), rel=1e-12)
+
+    def test_fewer_than_two_values_give_nan(self):
+        assert all(math.isnan(v) for v in _fano_from_moments(0, 0.0))
+        assert all(math.isnan(v) for v in _fano_from_moments(1, 0.0))
+
 
 class TestRun:
     def test_reference_run(self):
@@ -264,3 +276,82 @@ class TestMultiBand:
         fanos = [b.fano for b in result.per_band]
         assert all(b.count >= 100 for b in result.per_band)
         assert max(fanos) - min(fanos) <= 0.08
+
+
+class TestStreaming:
+    """The single-pass run against full-record masks on sample_photocurrents."""
+
+    def test_matches_mask_reference(self):
+        cfg = make_config(n_samples=3 * BLOCK_SIZE + 123, n_bands=20, band_halfwidth=0.5)
+        rows = []
+        result = run_conditional_prep(cfg, lambda bands, values: rows.append((bands, values)))
+        i_s, i_i = sample_photocurrents(cfg)
+        h = cfg.selection_halfwidth
+        edges = band_centers(cfg)[0] - h + 2.0 * h * np.arange(cfg.n_bands + 1)
+        # no sample near an edge, so the closed and half-open rules agree
+        assert np.min(np.abs(i_i[:, None] - edges[None, :])) > 1e-9
+        dumped_bands = np.concatenate([b for b, _ in rows])
+        dumped_values = np.concatenate([v for _, v in rows])
+        for index, band in enumerate(result.per_band):
+            reference = conditional_select(i_s, i_i, band.center, h)
+            assert band.count == reference.size
+            assert np.array_equal(dumped_values[dumped_bands == index], reference)
+            assert band.fano == pytest.approx(np.var(reference, ddof=1), rel=1e-12)
+        assert result.n_selected == dumped_values.size
+
+    def test_does_not_build_the_record(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("the streaming run must not build the full record")
+
+        monkeypatch.setattr(cvopo.condprep, "sample_photocurrents", refuse)
+        result = run_conditional_prep(make_config(n_bands=10, band_halfwidth=1.0))
+        assert result.n_selected > 0
+
+    def test_memory_stays_per_block(self):
+        cfg = make_config(n_samples=2_000_000, n_bands=100)
+        record_bytes = 2 * 8 * cfg.n_samples  # 32 MB for (I_s, I_i)
+        tracemalloc.start()
+        try:
+            run_conditional_prep(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < record_bytes / 8
+
+    def test_sparse_bands_keep_nan_fano(self):
+        cfg = make_config(fano_signal=1.0, fano_idler=1.0, gemellity=0.1, n_bands=40,
+                          band_halfwidth=0.5, n_samples=20_000)
+        result = run_conditional_prep(cfg)
+        sparse = [b for b in result.per_band if b.count < 2]
+        assert sparse and all(math.isnan(b.fano) and math.isnan(b.fano_stderr) for b in sparse)
+        assert math.isfinite(result.fano_conditioned)
+
+
+class TestBandEdges:
+    """Bands are half-open, [lo + 2hk, lo + 2h(k+1))."""
+
+    def test_band_index_of_exact_edges(self):
+        lo, h, n_bands = -2.0, 0.25, 8
+        edges = lo + 2.0 * h * np.arange(n_bands + 1)
+        mask, bands = _band_index(edges, lo, h, n_bands)
+        assert np.array_equal(mask, [True] * n_bands + [False])
+        assert np.array_equal(bands, np.arange(n_bands))
+        below = edges - 1e-9
+        mask, bands = _band_index(below, lo, h, n_bands)
+        assert np.array_equal(mask, [False] + [True] * n_bands)
+        assert np.array_equal(bands, np.arange(n_bands))
+
+    def test_edge_samples_count_once(self, monkeypatch):
+        cfg = make_config(n_bands=8, band_halfwidth=0.25, n_samples=BLOCK_SIZE)
+        edges = -2.0 + 0.5 * np.arange(9)
+        assert band_centers(cfg)[0] - 0.25 == edges[0]
+        idler = np.resize(edges, BLOCK_SIZE)
+
+        def edge_block(cfg, block_index, size=BLOCK_SIZE):
+            return np.arange(size, dtype=float), idler
+
+        monkeypatch.setattr(cvopo.condprep, "sample_block", edge_block)
+        result = run_conditional_prep(cfg)
+        per_edge = [int(np.count_nonzero(idler == e)) for e in edges]
+        assert [b.count for b in result.per_band] == per_edge[:-1]
+        assert result.n_selected == BLOCK_SIZE - per_edge[-1]

@@ -168,6 +168,18 @@ class TestEof:
         with pytest.raises(NonPositiveSeparabilityError):
             eof(-0.2)
 
+    def test_matches_high_precision_reference(self):
+        # 60-digit c+ log2 c+ - c- log2 c-, down to the near-threshold regime
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            near_one = 1.0 - np.geomspace(1e-12, 1e-3, 100)
+            for i in np.concatenate([np.geomspace(1e-17, 0.999, 300), near_one]):
+                root = mpmath.sqrt(mpmath.mpf(float(i)))
+                c_plus = (1 / root + root) ** 2 / 4
+                c_minus = (1 / root - root) ** 2 / 4
+                expected = float(c_plus * mpmath.log(c_plus, 2) - c_minus * mpmath.log(c_minus, 2))
+                assert eof(float(i)) == pytest.approx(expected, rel=1e-13)
+
     @given(
         i1=st.floats(1e-4, 1.0, exclude_max=True),
         i2=st.floats(1e-4, 1.0, exclude_max=True),
