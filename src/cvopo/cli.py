@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
-import json
+import math
 import sys
 
 import numpy as np
@@ -56,14 +57,30 @@ def _err(message: str) -> None:
     print(f"cvopo: {message}", file=sys.stderr)
 
 
+def _finite_floats(texts) -> list[float]:
+    values = [float(t) for t in texts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    return values
+
+
+def _float_flag(text: str) -> float:
+    """argparse type of the float flags: NaN and infinities are invalid too."""
+    try:
+        return _finite_floats([text])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _parse_range(text: str, name: str) -> list[float]:
     """Either a single value or an inclusive linspace 'start:stop:count'."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0])]
+            return _finite_floats(parts)
         if len(parts) == 3:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop = _finite_floats(parts[:2])
+            count = int(parts[2])
             if count < 1:
                 raise ValueError("count must be >= 1")
             return [float(v) for v in np.linspace(start, stop, count)]
@@ -107,7 +124,7 @@ def _cmd_opo_sweep(args) -> int:
         if len(fields) != 3:
             raise FormatError(f"--coupled expects THETA,V1,V2, got {args.coupled!r}")
         try:
-            coupled = tuple(float(v) for v in fields)
+            coupled = _finite_floats(fields)
         except ValueError as exc:
             raise FormatError(f"bad --coupled value: {exc}") from exc
 
@@ -143,33 +160,21 @@ def _cmd_opo_sweep(args) -> int:
 
 
 def _condprep_config(args) -> CondPrepConfig:
+    """The config file (or the reference run) with every flag named after a field applied."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = document_to_condprep_config(loads_document(fh.read()))
     else:
         base = CONDPREP_REFERENCE
-    overrides = {}
-    for attr, flag in (
-        ("fano_signal", args.fano_signal),
-        ("fano_idler", args.fano_idler),
-        ("gemellity", args.gemellity),
-        ("band_center", args.band_center),
-        ("band_halfwidth", args.band_halfwidth),
-        ("band_convention", args.band_convention),
-        ("n_samples", args.samples),
-        ("seed", args.seed),
-        ("n_bands", args.bands),
-    ):
-        if flag is not None:
-            overrides[attr] = flag
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(CondPrepConfig)
+        if getattr(args, f.name) is not None
+    }
     if args.fano is not None:
         overrides.setdefault("fano_signal", args.fano)
         overrides.setdefault("fano_idler", args.fano)
-    if not overrides:
-        return base
-    fields = {k: getattr(base, k) for k in CondPrepConfig.__dataclass_fields__}
-    fields.update(overrides)
-    return CondPrepConfig(**fields)
+    return dataclasses.replace(base, **overrides)
 
 
 class _SelectedDump:
@@ -278,25 +283,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opo-sweep", help="sweep the OPO model and emit plot-ready CSV")
     p.add_argument("--sigma", required=True, help="pump ratio: VALUE or START:STOP:COUNT")
     p.add_argument("--omega", default="0", help="noise frequency: VALUE or START:STOP:COUNT")
-    p.add_argument("--eta", type=float, default=1.0, help="detection efficiency")
+    p.add_argument("--eta", type=_float_flag, default=1.0, help="detection efficiency")
     p.add_argument("--coupled", help="THETA,V1,V2 for the coupled (tilted A-) family")
     p.set_defaults(func=_cmd_opo_sweep)
 
     p = sub.add_parser("condprep", help="Monte Carlo conditional preparation")
     p.add_argument("--config", help="condprep config document (JSON)")
-    p.add_argument("--fano", type=float, help="set both Fano factors at once")
-    p.add_argument("--fano-signal", type=float, dest="fano_signal")
-    p.add_argument("--fano-idler", type=float, dest="fano_idler")
-    p.add_argument("--gemellity", type=float)
-    p.add_argument("--band-center", type=float, dest="band_center")
-    p.add_argument("--band-halfwidth", type=float, dest="band_halfwidth")
-    p.add_argument(
-        "--band-convention", choices=("half_width", "full_width"), dest="band_convention"
-    )
-    p.add_argument("--samples", type=int)
+    # every CondPrepConfig field is the dest of one flag (see _condprep_config)
+    p.add_argument("--fano", type=_float_flag, help="set both Fano factors at once")
+    p.add_argument("--fano-signal", type=_float_flag)
+    p.add_argument("--fano-idler", type=_float_flag)
+    p.add_argument("--gemellity", type=_float_flag)
+    p.add_argument("--band-center", type=_float_flag)
+    p.add_argument("--band-halfwidth", type=_float_flag)
+    p.add_argument("--band-convention", choices=("half_width", "full_width"))
+    p.add_argument("--samples", type=int, dest="n_samples", metavar="SAMPLES")
     p.add_argument("--seed", type=int)
-    p.add_argument("--bands", type=int, help="number of non-overlapping selection bands")
-    p.add_argument("--dump-selected", dest="dump_selected", help="write selected samples as CSV")
+    p.add_argument(
+        "--bands",
+        type=int,
+        dest="n_bands",
+        metavar="BANDS",
+        help="number of non-overlapping selection bands",
+    )
+    p.add_argument("--dump-selected", help="write selected samples as CSV")
     p.set_defaults(func=_cmd_condprep)
 
     p = sub.add_parser("optimize", help="maximize E_N over the non-local A- phase shift")

@@ -4,7 +4,8 @@ Every criterion is evaluated on the signal/idler mode split, so all scalars
 reported here are invariant under the +-45 degree basis change.  Near
 threshold the signal/idler entries are large numbers whose differences carry
 the squeezing, so quantities with a +-45 degree or basis-free form are read
-off the matrix as it arrived.
+off the +-45 degree entries, which the +-1 basis change forms by exact
+differences.
 
 Conventions (vacuum variance = 1 throughout):
 
@@ -18,6 +19,7 @@ Conventions (vacuum variance = 1 throughout):
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,14 +185,16 @@ def _det2(m: np.ndarray) -> float:
 def _conditional_variance(gamma: CovarianceMatrix, quadrature: int) -> float:
     """Var of quadrature 0 (X) or 1 (P) of beam 1 given beam 2: the Schur
     complement G_qq - G_q,q+2^2 / G_q+2,q+2, evaluated as det / G_q+2,q+2
-    with the basis-invariant det of that quadrature's 2x2 block as arrived.
+    with the basis-invariant det of that quadrature's 2x2 block read off the
+    +-45 degree entries.
     """
     var_2 = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries[2 + quadrature, 2 + quadrature]
     if var_2 <= 0.0:
         raise DegenerateVarianceError(
             f"Var {'XP'[quadrature]}_2 must be positive, got {var_2}"
         )
-    return float(_det2(gamma.entries[quadrature::2, quadrature::2]) / var_2)
+    pm = to_basis(gamma, ModeBasis.PLUS_MINUS).entries
+    return float(_det2(pm[quadrature::2, quadrature::2]) / var_2)
 
 
 def epr_product(gamma: CovarianceMatrix) -> float:
@@ -201,7 +205,7 @@ def epr_product(gamma: CovarianceMatrix) -> float:
 def _seralian(gamma: CovarianceMatrix) -> tuple[float, float]:
     """``(D, det G)``, D = det g_A + det g_B - 2 det s_AB on signal/idler blocks.
 
-    det G is basis-invariant and taken from the entries as they arrived: near
+    det G is basis-invariant and read off the +-45 degree entries: near
     threshold it is ~1 while the signal/idler entries are ~V_anti/2.  D
     (V_anti^2 + V_sq^2 for the ideal state) has no such cancellation.
     """
@@ -311,18 +315,8 @@ class CriteriaReport:
         }
 
     def scalars(self) -> dict[str, float]:
-        return {
-            "gemellity_x": self.gemellity_x,
-            "antigemellity_p": self.antigemellity_p,
-            "conditional_variance_x": self.conditional_variance_x,
-            "conditional_variance_p": self.conditional_variance_p,
-            "separability": self.separability,
-            "eof_ebits": self.eof_ebits,
-            "epr_product": self.epr_product,
-            "xi": self.xi,
-            "log_negativity": self.log_negativity,
-            "max_log_negativity": self.max_log_negativity,
-        }
+        """Every float-typed field, by name."""
+        return {name: getattr(self, name) for name in _SCALAR_FIELDS}
 
     def db_renderings(self) -> dict[str, float]:
         """dB views of the variance-like scalars, derived on the fly."""
@@ -333,6 +327,11 @@ class CriteriaReport:
             "conditional_variance_p_db": variance_to_db(self.conditional_variance_p),
             "separability_db": variance_to_db(self.separability),
         }
+
+
+_SCALAR_FIELDS = tuple(
+    name for name, kind in typing.get_type_hints(CriteriaReport).items() if kind is float
+)
 
 
 def classify(

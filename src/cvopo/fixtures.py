@@ -13,24 +13,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from .condprep import CondPrepConfig
-from .formats import (
-    MATRIX_SCHEMA,
-    ORDERING,
-    condprep_config_to_document,
-    dumps_canonical,
-)
+from .formats import condprep_config_to_document, dumps_canonical, matrix_to_document
+from .gaussian import ModeBasis, make_covariance, vacuum_state
 
 __all__ = ["fixture_document", "fixture_names", "write_fixtures"]
-
-
-def _matrix_doc(entries, basis: str, metadata: dict) -> dict:
-    return {
-        "schema_version": MATRIX_SCHEMA,
-        "basis": basis,
-        "ordering": ORDERING,
-        "entries": entries,
-        "metadata": metadata,
-    }
 
 
 _APM_ENTRIES = [
@@ -63,14 +49,31 @@ _A1A2_OPT_ENTRIES = [
     [0.0, -0.736615, 0.0, 0.739385],
 ]
 
-_VACUUM_ENTRIES = [
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-]
-
 _COUPLED_META = {"sigma": 0.9, "omega": 0.0, "plate_angle_deg": 1.3}
+
+#: name -> (entries, basis, description) of the published state and its images.
+_COUPLED_FIXTURES = {
+    "fig_matrix_apm.json": (
+        _APM_ENTRIES,
+        ModeBasis.PLUS_MINUS,
+        "self-phase-locked OPO below threshold, +-45 degree modes",
+    ),
+    "fig_matrix_a1a2.json": (
+        _A1A2_ENTRIES,
+        ModeBasis.SIGNAL_IDLER,
+        "same state as fig_matrix_apm.json, exact change to the signal/idler basis",
+    ),
+    "fig_matrix_apm_optimized.json": (
+        _APM_OPT_ENTRIES,
+        ModeBasis.PLUS_MINUS,
+        "fig_matrix_apm.json after the A- phase shift aligning the squeezing ellipses",
+    ),
+    "fig_matrix_a1a2_optimized.json": (
+        _A1A2_OPT_ENTRIES,
+        ModeBasis.SIGNAL_IDLER,
+        "same state as fig_matrix_apm_optimized.json in the signal/idler basis",
+    ),
+}
 
 #: Reference conditional-preparation run: 20 dB beams with gemellity 0.18,
 #: selection band of half-width 0.1 sigma_0 around the mean.
@@ -85,53 +88,17 @@ CONDPREP_REFERENCE = CondPrepConfig(
 
 
 def _fixture_documents() -> dict[str, dict]:
-    return {
-        "fig_matrix_apm.json": _matrix_doc(
-            _APM_ENTRIES,
-            "plus_minus",
-            {
-                "description": "self-phase-locked OPO below threshold, +-45 degree modes",
-                **_COUPLED_META,
-            },
-        ),
-        "fig_matrix_a1a2.json": _matrix_doc(
-            _A1A2_ENTRIES,
-            "signal_idler",
-            {
-                "description": (
-                    "same state as fig_matrix_apm.json, exact change to the "
-                    "signal/idler basis"
-                ),
-                **_COUPLED_META,
-            },
-        ),
-        "fig_matrix_apm_optimized.json": _matrix_doc(
-            _APM_OPT_ENTRIES,
-            "plus_minus",
-            {
-                "description": (
-                    "fig_matrix_apm.json after the A- phase shift aligning the "
-                    "squeezing ellipses"
-                ),
-                **_COUPLED_META,
-            },
-        ),
-        "fig_matrix_a1a2_optimized.json": _matrix_doc(
-            _A1A2_OPT_ENTRIES,
-            "signal_idler",
-            {
-                "description": (
-                    "same state as fig_matrix_apm_optimized.json in the "
-                    "signal/idler basis"
-                ),
-                **_COUPLED_META,
-            },
-        ),
-        "vacuum.json": _matrix_doc(
-            _VACUUM_ENTRIES, "signal_idler", {"description": "two independent vacua"}
-        ),
-        "condprep_reference.json": condprep_config_to_document(CONDPREP_REFERENCE),
+    docs = {
+        name: matrix_to_document(
+            make_covariance(entries, basis), {"description": description, **_COUPLED_META}
+        )
+        for name, (entries, basis, description) in _COUPLED_FIXTURES.items()
     }
+    docs["vacuum.json"] = matrix_to_document(
+        vacuum_state(), {"description": "two independent vacua"}
+    )
+    docs["condprep_reference.json"] = condprep_config_to_document(CONDPREP_REFERENCE)
+    return docs
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -10,11 +10,13 @@ round-trip representation so they are value-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 import csv
-from typing import Any
+import math
+import typing
 
 import numpy as np
 
@@ -60,9 +62,17 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise FormatError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def loads_document(text: str) -> dict:
+    """Parse a JSON document; NaN, Infinity and overflowing numbers raise ``FormatError``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
@@ -98,7 +108,7 @@ def document_to_matrix(doc: dict) -> tuple[CovarianceMatrix, dict]:
     entries = doc.get("entries")
     try:
         array = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError("entries must be a 4x4 array of numbers") from None
     if array.shape != (4, 4):
         raise FormatError(f"entries must be 4x4, got shape {array.shape}")
@@ -141,14 +151,9 @@ def report_document(
 
 def report_to_csv(doc: dict) -> str:
     """Single header row plus one data row, '.' decimal separator."""
-    flat: dict[str, Any] = {
-        "basis": doc["basis"],
-        "standard_form": doc["standard_form"],
-        "balanced": doc["balanced"],
-    }
-    flat.update(doc["criteria"])
-    flat.update(doc["db"])
-    flat.update(doc["flags"])
+    flat = {key: doc[key] for key in ("basis", "standard_form", "balanced")}
+    for section in ("criteria", "db", "flags"):
+        flat.update(doc[section])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_CSV_COLUMNS)
@@ -165,50 +170,28 @@ def _csv_cell(value) -> str:
 
 
 def condprep_config_to_document(cfg: CondPrepConfig) -> dict:
-    return {
-        "schema_version": CONDPREP_SCHEMA,
-        "fano_signal": cfg.fano_signal,
-        "fano_idler": cfg.fano_idler,
-        "gemellity": cfg.gemellity,
-        "band_center": cfg.band_center,
-        "band_halfwidth": cfg.band_halfwidth,
-        "band_convention": cfg.band_convention,
-        "n_bands": cfg.n_bands,
-        "n_samples": cfg.n_samples,
-        "seed": cfg.seed,
-    }
+    """``schema_version`` plus every ``CondPrepConfig`` field."""
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    return {"schema_version": CONDPREP_SCHEMA, **fields}
 
 
 def document_to_condprep_config(doc: dict) -> CondPrepConfig:
+    """Fields without a default are required; each value is coerced with its field's type."""
     if doc.get("schema_version") != CONDPREP_SCHEMA:
         raise FormatError(
             f"unsupported schema_version {doc.get('schema_version')!r}, "
             f"expected {CONDPREP_SCHEMA!r}"
         )
-    required = (
-        "fano_signal",
-        "fano_idler",
-        "gemellity",
-        "band_halfwidth",
-        "n_samples",
-        "seed",
-    )
-    missing = [k for k in required if k not in doc]
+    fields = dataclasses.fields(CondPrepConfig)
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc]
     if missing:
         raise FormatError(f"missing condprep fields: {', '.join(missing)}")
+    types = typing.get_type_hints(CondPrepConfig)
     try:
         return CondPrepConfig(
-            fano_signal=float(doc["fano_signal"]),
-            fano_idler=float(doc["fano_idler"]),
-            gemellity=float(doc["gemellity"]),
-            band_halfwidth=float(doc["band_halfwidth"]),
-            n_samples=int(doc["n_samples"]),
-            seed=int(doc["seed"]),
-            band_center=float(doc.get("band_center", 0.0)),
-            n_bands=int(doc.get("n_bands", 1)),
-            band_convention=str(doc.get("band_convention", "half_width")),
+            **{f.name: types[f.name](doc[f.name]) for f in fields if f.name in doc}
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad condprep field: {exc}") from exc
 
 

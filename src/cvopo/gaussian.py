@@ -41,8 +41,6 @@ __all__ = [
     "vacuum_state",
 ]
 
-QUADRATURE_ORDER = ("X_A", "P_A", "X_B", "P_B")
-
 #: Symplectic form J for the (X_A, P_A, X_B, P_B) ordering.
 SYMPLECTIC_FORM = np.array(
     [
@@ -102,7 +100,8 @@ class CovarianceMatrix:
         return self.entries[:2, 2:]
 
     def determinant(self) -> float:
-        return float(np.linalg.det(self.entries))
+        """det Gamma, read off the +-45 degree entries (see ``symplectic_eigenvalues``)."""
+        return float(np.linalg.det(to_basis(self, ModeBasis.PLUS_MINUS).entries))
 
     def with_entries(self, entries: np.ndarray) -> "CovarianceMatrix":
         return make_covariance(entries, self.basis)
@@ -138,9 +137,11 @@ def symplectic_eigenvalues(gamma: CovarianceMatrix) -> np.ndarray:
     """Both symplectic eigenvalues, sorted ascending.
 
     Computed as the moduli of the eigenvalues of J @ Gamma, which come in
-    pairs (+i nu, -i nu).
+    pairs (+i nu, -i nu), from the +-45 degree entries: near threshold the
+    signal/idler entries hold V_sq only as a large-minus-large remainder.
     """
-    ev = np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ gamma.entries))
+    pm = to_basis(gamma, ModeBasis.PLUS_MINUS).entries
+    ev = np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ pm))
     return np.sort(ev)[[0, 2]]
 
 
@@ -179,8 +180,7 @@ def change_basis_pm(gamma: CovarianceMatrix) -> CovarianceMatrix:
     H Gamma H^T / 2 with the +-1 matrix H, so only sums, differences and an
     exact halving touch the entries (vacuum maps to exactly the identity).
     """
-    out = _H_PM @ gamma.entries @ _H_PM.T / 2.0
-    return make_covariance((out + out.T) / 2.0, gamma.basis.flipped())
+    return make_covariance(_H_PM @ gamma.entries @ _H_PM.T / 2.0, gamma.basis.flipped())
 
 
 def to_basis(gamma: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
@@ -281,8 +281,7 @@ def apply_passive(gamma: CovarianceMatrix, transform: PassiveTransform) -> Covar
         raise InvalidTransformError(
             f"matrix is not symplectic: |S J S^T - J| = {defect:.3e} exceeds {SYMPLECTIC_TOL:.0e}"
         )
-    out = s @ gamma.entries @ s.T
-    return make_covariance((out + out.T) / 2.0, gamma.basis)
+    return make_covariance(s @ gamma.entries @ s.T, gamma.basis)
 
 
 @dataclass(frozen=True)

@@ -123,10 +123,9 @@ def coupled_covariance(params: CoupledStateParams) -> CovarianceMatrix:
     theta = params.tilt_theta
     c, s = math.cos(theta), math.sin(theta)
     r_inv = np.array([[c, -s], [s, c]])
-    block_minus = r_inv @ np.diag(params.v_minus) @ r_inv.T
     entries = np.zeros((4, 4))
     entries[:2, :2] = np.diag([v_anti, v_sq])
-    entries[2:, 2:] = (block_minus + block_minus.T) / 2.0
+    entries[2:, 2:] = r_inv @ np.diag(params.v_minus) @ r_inv.T
     gamma = make_covariance(entries, ModeBasis.PLUS_MINUS)
     if params.base.eta < 1.0:
         gamma = add_losses(gamma, LossModel(eta_a=params.base.eta, eta_b=params.base.eta))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,8 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvopo.cli import main
-from cvopo.formats import dumps_canonical, loads_document
+from cvopo import ModeBasis, OpoParams, below_threshold_covariance, to_basis
+from cvopo.cli import build_parser, main
+from cvopo.condprep import CondPrepConfig
+from cvopo.fixtures import CONDPREP_REFERENCE
+from cvopo.formats import (
+    condprep_config_to_document,
+    dumps_canonical,
+    loads_document,
+    save_matrix,
+)
 
 pytestmark = pytest.mark.usefixtures("fixture_dir")
 
@@ -87,6 +96,20 @@ class TestCriteria:
         code, out, _ = run_cli(capsys, "criteria", str(path), "--allow-unphysical")
         assert code == 0
         assert json.loads(out)["criteria"]["gemellity_x"] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("command", ["criteria", "optimize"])
+    def test_near_threshold_signal_idler_file(self, tmp_path, capsys, command):
+        # the signal/idler entries of the pure sigma = 0.999 state are ~1e6
+        # and hold V_sq = 2.5e-7 only to a few digits, but the stored matrix
+        # passes the physicality gate (nu_min = 0.99962 by mpmath, tolerance 1e-3)
+        state = below_threshold_covariance(OpoParams(sigma=0.999))
+        path = tmp_path / "si.json"
+        save_matrix(path, to_basis(state, ModeBasis.SIGNAL_IDLER))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        e_n = doc["criteria"]["log_negativity"] if command == "criteria" else doc["e_n_after"]
+        assert e_n == pytest.approx(-math.log2(state.entries[1, 1]), rel=1e-3)
 
     def test_basis_independent_scalars(self, fixture_dir, capsys):
         docs = []
@@ -258,6 +281,50 @@ class TestCondprep:
         code, _, err = run_cli(capsys, "condprep", "--config", str(bad))
         assert code == 2
         assert "missing" in err
+
+    def test_every_config_field_is_a_document_key_and_a_flag(self):
+        names = {f.name for f in dataclasses.fields(CondPrepConfig)}
+        doc = condprep_config_to_document(CONDPREP_REFERENCE)
+        assert set(doc) == {"schema_version"} | names
+        assert names <= set(vars(build_parser().parse_args(["condprep"])))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["condprep", "--band-halfwidth", "inf"],
+        ["condprep", "--fano", "nan"],
+        ["condprep", "--band-center", "nan"],
+        ["condprep", "--config", "{config}"],
+        ["criteria", "{matrix}"],
+        ["criteria", "--allow-unphysical", "{matrix}"],
+        ["criteria", "{overflow}"],
+        ["criteria", "{big_integer}"],
+        ["optimize", "{matrix}"],
+        ["opo-sweep", "--sigma", "0.5", "--omega", "inf"],
+        ["opo-sweep", "--sigma", "0:nan:3"],
+        ["opo-sweep", "--sigma", "0.5", "--eta", "nan"],
+        ["opo-sweep", "--sigma", "0.5", "--coupled", "0.1,1.0,inf"],
+    ],
+)
+def test_non_finite_numbers_exit_2(fixture_dir, tmp_path, capsys, argv):
+    config = (fixture_dir / "condprep_reference.json").read_text()
+    vacuum = (fixture_dir / "vacuum.json").read_text()
+    texts = {
+        "config": config.replace('"band_halfwidth": 0.1', '"band_halfwidth": Infinity'),
+        "matrix": vacuum.replace("1.0", "NaN", 1),
+        "overflow": vacuum.replace("1.0", "1e999", 1),
+        "big_integer": vacuum.replace("1.0", "1" + "0" * 400, 1),
+    }
+    paths = {}
+    for name, text in texts.items():
+        assert text not in (config, vacuum)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err
 
 
 class TestOptimize:

@@ -19,6 +19,7 @@ from cvopo import (
     epr_product,
     gemellity,
     gemellity_from_covariance,
+    is_physical,
     log_negativity,
     make_covariance,
     max_log_negativity,
@@ -26,6 +27,7 @@ from cvopo import (
     polarization_rotation,
     separability,
     symmetric_covariance,
+    to_basis,
     vacuum_state,
     variance_to_db,
 )
@@ -266,6 +268,33 @@ class TestLogNegativity:
         assert report.gemellity_x == pytest.approx(expected, rel=1e-12)
         assert report.log_negativity == pytest.approx(-math.log2(expected), rel=1e-12)
         assert report.max_log_negativity == pytest.approx(-math.log2(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.99, 0.995, 0.999, 0.9995])
+    @pytest.mark.parametrize("eta", [1.0, 0.99, 0.97])
+    def test_signal_idler_input_matches_high_precision(self, sigma, eta):
+        # the signal/idler entries are ~V_anti/2 and hold V_sq only as a
+        # large-minus-large remainder; the invariants of that stored matrix
+        # must still come out to rounding
+        mpmath = pytest.importorskip("mpmath")
+        state = to_basis(
+            below_threshold_covariance(OpoParams(sigma, 0.0, eta)), ModeBasis.SIGNAL_IDLER
+        )
+        with mpmath.workdps(60):
+            g = mpmath.matrix(state.entries.tolist())
+            dets = [mpmath.det(g[i : i + 2, j : j + 2]) for i, j in ((0, 0), (2, 2), (0, 2))]
+
+            def smallest_symplectic(sign):  # of g (+1) or of its partial transpose (-1)
+                d = dets[0] + dets[1] + sign * 2 * dets[2]
+                # g has a double symplectic eigenvalue, so its disc is 0 up to 1e-50
+                disc = max(d * d - 4 * mpmath.det(g), 0)
+                return mpmath.sqrt((d - mpmath.sqrt(disc)) / 2)
+
+            nu_min = float(smallest_symplectic(1))
+            xi = float(smallest_symplectic(-1))
+            v_x = float(g[0, 0] - g[0, 2] ** 2 / g[2, 2])
+        assert is_physical(state)[1] == pytest.approx(nu_min, rel=1e-12)
+        assert log_negativity(state)[1] == pytest.approx(xi, rel=1e-12)
+        assert classify(state).conditional_variance_x == pytest.approx(v_x, rel=1e-12)
 
     @pytest.mark.parametrize("n", [123.4, 2.7e3, 3.1e4, 5.5e5])
     @pytest.mark.parametrize("seed", range(5))

@@ -67,6 +67,11 @@ class TestMatrixDocuments:
         with pytest.raises(FormatError):
             document_to_matrix(doc)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_non_finite_numbers_rejected(self, literal):
+        with pytest.raises(FormatError, match="non-finite"):
+            loads_document(f'{{"entries": [[1.0, {literal}]]}}')
+
     def test_json_error_carries_position(self):
         with pytest.raises(FormatError) as err:
             loads_document('{"schema_version": ')
@@ -122,6 +127,14 @@ class TestReports:
         }
         json.dumps(doc)  # JSON-serializable throughout
 
+    def test_sections_cover_the_csv_columns_once(self, a1a2_state):
+        doc = report_document(classify(a1a2_state), a1a2_state.basis)
+        names = ["basis", "standard_form", "balanced"]
+        for section in ("criteria", "db", "flags"):
+            names.extend(doc[section])
+        assert sorted(names) == sorted(REPORT_CSV_COLUMNS)
+        assert all(isinstance(v, float) for v in doc["criteria"].values())
+
     def test_csv_rendering(self, a1a2_state):
         doc = report_document(classify(a1a2_state), a1a2_state.basis)
         text = report_to_csv(doc)
@@ -159,7 +172,33 @@ class TestCondprepDocuments:
             )
         )
         del doc["gemellity"]
-        with pytest.raises(FormatError):
+        del doc["seed"]
+        del doc["n_bands"]
+        with pytest.raises(FormatError, match="^missing condprep fields: gemellity, seed$"):
+            document_to_condprep_config(doc)
+
+    def test_optional_fields_take_their_defaults(self):
+        doc = condprep_config_to_document(CondPrepConfig(1.0, 1.0, 0.5, 0.1, 20_000, 1))
+        for name in ("band_center", "n_bands", "band_convention"):
+            del doc[name]
+        assert document_to_condprep_config(doc) == CondPrepConfig(1.0, 1.0, 0.5, 0.1, 20_000, 1)
+
+    def test_values_coerced_to_field_types(self):
+        doc = condprep_config_to_document(CondPrepConfig(1.0, 1.0, 0.5, 0.1, 20_000, 1))
+        doc.update(fano_signal=2, n_samples=30_000.0, n_bands="3")
+        cfg = document_to_condprep_config(doc)
+        assert (cfg.fano_signal, cfg.n_samples, cfg.n_bands) == (2.0, 30_000, 3)
+        for name, kind in (("fano_signal", float), ("n_samples", int), ("n_bands", int)):
+            assert type(getattr(cfg, name)) is kind
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fano_signal", "abc"), ("n_samples", "2e4"), ("n_bands", None), ("seed", [1])],
+    )
+    def test_bad_field_values(self, field, value):
+        doc = condprep_config_to_document(CondPrepConfig(1.0, 1.0, 0.5, 0.1, 20_000, 1))
+        doc[field] = value
+        with pytest.raises(FormatError, match="^bad condprep field: "):
             document_to_condprep_config(doc)
 
     def test_bad_schema(self):

@@ -156,6 +156,13 @@ class TestBasisChange:
         assert np.allclose(
             symplectic_eigenvalues(flipped), symplectic_eigenvalues(state), rtol=1e-9
         )
+        # both invariants are read off the +-45 degree entries, so compare the
+        # entries of the two bases directly as well
+        assert np.linalg.det(flipped.entries) == pytest.approx(
+            np.linalg.det(state.entries), rel=1e-9
+        )
+        spectra = [np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ g.entries)) for g in (state, flipped)]
+        assert np.allclose(np.sort(spectra[0]), np.sort(spectra[1]), rtol=1e-9, atol=0.0)
 
 
 class TestPassiveTransforms:
