@@ -1,8 +1,8 @@
 """Command-line surface: criteria, opo-sweep, condprep, optimize, fixtures.
 
 stdout carries data only; diagnostics go to stderr.  Exit codes: 0 success,
-2 parse/config error, 3 unphysical input or numerical failure, 4 unwritable
-fixture directory.
+2 parse/config error or a file that cannot be read or written, 3 unphysical
+input or numerical failure, 4 unwritable fixture directory.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .formats import (
     condprep_result_to_document,
     document_to_condprep_config,
     dumps_canonical,
+    load_document,
     load_matrix,
-    loads_document,
     report_document,
     report_to_csv,
     save_matrix,
@@ -162,8 +162,7 @@ def _cmd_opo_sweep(args) -> int:
 def _condprep_config(args) -> CondPrepConfig:
     """The config file (or the reference run) with every flag named after a field applied."""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = document_to_condprep_config(loads_document(fh.read()))
+        base = document_to_condprep_config(load_document(args.config))
     else:
         base = CONDPREP_REFERENCE
     overrides = {
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         _err(str(exc))
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _err(str(exc))
         return EXIT_PARSE
     except CvopoError as exc:

@@ -74,26 +74,30 @@ class CondPrepConfig:
     band_convention: str = "half_width"
 
     def __post_init__(self):
-        if self.fano_signal <= 0.0 or self.fano_idler <= 0.0:
+        # every check is written so that NaN fails it
+        if not (0.0 < self.fano_signal < math.inf and 0.0 < self.fano_idler < math.inf):
             raise OutOfRangeError(
-                f"Fano factors must be positive, got {self.fano_signal}, {self.fano_idler}"
+                f"Fano factors must be positive and finite, "
+                f"got {self.fano_signal}, {self.fano_idler}"
             )
-        if self.gemellity < 0.0:
+        if not self.gemellity >= 0.0:
             raise OutOfRangeError(f"gemellity must be non-negative, got {self.gemellity}")
-        if self.band_halfwidth <= 0.0:
+        if not self.band_halfwidth > 0.0:
             raise OutOfRangeError(
                 f"band halfwidth must be positive, got {self.band_halfwidth}"
             )
-        if self.n_samples < 1:
+        if not math.isfinite(self.band_center):
+            raise OutOfRangeError(f"band center must be finite, got {self.band_center}")
+        if not self.n_samples >= 1:
             raise OutOfRangeError(f"n_samples must be positive, got {self.n_samples}")
-        if self.n_bands < 1:
+        if not self.n_bands >= 1:
             raise OutOfRangeError(f"n_bands must be positive, got {self.n_bands}")
         if self.band_convention not in ("half_width", "full_width"):
             raise OutOfRangeError(
                 f"band_convention must be 'half_width' or 'full_width', "
                 f"got {self.band_convention!r}"
             )
-        if abs(self.c12) > 1.0:
+        if not abs(self.c12) <= 1.0:
             raise BadCorrelationError(
                 f"gemellity {self.gemellity} with Fano factors "
                 f"{self.fano_signal}, {self.fano_idler} implies |c12| = {abs(self.c12)} > 1"
@@ -143,7 +147,7 @@ def conditional_select(
 
     An empty selection is a reportable outcome, not an error.
     """
-    if halfwidth <= 0.0:
+    if not halfwidth > 0.0:
         raise OutOfRangeError(f"selection halfwidth must be positive, got {halfwidth}")
     mask = np.abs(i_i - center) <= halfwidth
     return i_s[mask]
@@ -196,7 +200,7 @@ class BandResult:
 
 @dataclass(frozen=True)
 class CondPrepResult:
-    """Estimates from one run; multi-band runs list every band."""
+    """Estimates from one run; multi-band runs list every band (see ``run_conditional_prep``)."""
 
     fano_conditioned: float
     fano_stderr: float
@@ -250,6 +254,8 @@ def run_conditional_prep(cfg: CondPrepConfig, sink=None) -> CondPrepResult:
     For several bands the headline Fano is the count-weighted mean of the
     per-band estimates (each band prepares its own conditioned ensemble;
     pooling raw values across bands would just recover the full spread).
+    Only bands with an estimate (at least 2 samples) take part; with none,
+    the headline and its standard error are NaN.
     """
     if cfg.n_samples < MIN_SAMPLES:
         raise OutOfRangeError(
@@ -270,41 +276,22 @@ def run_conditional_prep(cfg: CondPrepConfig, sink=None) -> CondPrepResult:
             sink(bands, values)
         _merge_moments(count, mean, m2, bands, values)
 
-    per_band = []
-    for center, n, band_m2 in zip(centers, count.tolist(), m2.tolist()):
-        fano, stderr = _fano_from_moments(n, band_m2)
-        per_band.append(
-            BandResult(
-                center=float(center),
-                halfwidth=h,
-                count=n,
-                success_rate=n / cfg.n_samples,
-                fano=fano,
-                fano_stderr=stderr,
-            )
-        )
-
-    total = sum(b.count for b in per_band)
-    rate = sum(b.success_rate for b in per_band)
-    if total == 0:
-        return CondPrepResult(
-            fano_conditioned=math.nan,
-            fano_stderr=math.nan,
-            success_rate=0.0,
-            n_selected=0,
-            n_samples=cfg.n_samples,
-            empty_selection=True,
-            per_band=tuple(per_band),
-        )
-    weighted = [(b.count / total, b) for b in per_band if not math.isnan(b.fano)]
-    fano = sum(w * b.fano for w, b in weighted)
-    stderr = math.sqrt(sum((w * b.fano_stderr) ** 2 for w, b in weighted))
+    per_band = tuple(
+        BandResult(float(center), h, n, n / cfg.n_samples, *_fano_from_moments(n, band_m2))
+        for center, n, band_m2 in zip(centers, count.tolist(), m2.tolist())
+    )
+    n_selected = sum(b.count for b in per_band)
+    estimated = [b for b in per_band if not math.isnan(b.fano)]
+    weight = sum(b.count for b in estimated)
+    shares = [(b.count / weight, b) for b in estimated]
     return CondPrepResult(
-        fano_conditioned=fano,
-        fano_stderr=stderr,
-        success_rate=rate,
-        n_selected=total,
+        fano_conditioned=sum(w * b.fano for w, b in shares) if shares else math.nan,
+        fano_stderr=(
+            math.sqrt(sum((w * b.fano_stderr) ** 2 for w, b in shares)) if shares else math.nan
+        ),
+        success_rate=sum(b.success_rate for b in per_band),
+        n_selected=n_selected,
         n_samples=cfg.n_samples,
-        empty_selection=False,
-        per_band=tuple(per_band),
+        empty_selection=n_selected == 0,
+        per_band=per_band,
     )

@@ -65,16 +65,17 @@ class CorrelationStats:
     c12: float
 
     def __post_init__(self):
-        if self.f <= 0.0:
-            raise BadCorrelationError(f"noise variance must be positive, got {self.f}")
-        if abs(self.c12) > 1.0:
+        # written so that NaN fails the checks
+        if not 0.0 < self.f < math.inf:
+            raise BadCorrelationError(f"noise variance must be positive and finite, got {self.f}")
+        if not abs(self.c12) <= 1.0:
             raise BadCorrelationError(f"|c12| must not exceed 1, got {self.c12}")
 
     @classmethod
     def from_gemellity(cls, f: float, g: float) -> "CorrelationStats":
         """Invert G = F (1 - |C12|) assuming a non-negative correlation."""
         c12 = 1.0 - g / f
-        if abs(c12) > 1.0:
+        if not abs(c12) <= 1.0:
             raise BadCorrelationError(
                 f"gemellity {g} with noise {f} implies |c12| = {abs(c12)} > 1"
             )
@@ -345,8 +346,6 @@ def classify(
     gemellity and conditional variance come from those instead of from the
     matrix; the negativities always come from the matrix.
     """
-    si = to_basis(gamma, ModeBasis.SIGNAL_IDLER)
-
     if stats_x is not None:
         g_x = gemellity_from_stats(stats_x)
         v_x = conditional_variance_from_stats(stats_x)
@@ -374,8 +373,8 @@ def classify(
         xi=xi,
         log_negativity=e_n,
         max_log_negativity=max_log_negativity(gamma),
-        standard_form=is_standard_form(si),
-        balanced=is_balanced(si),
+        standard_form=is_standard_form(gamma),
+        balanced=is_balanced(gamma),
         nonclassical_correlation=min(g_x, g_p) < 1.0,
         qnd_correlated=min(v_x, v_p) < 1.0,
         inseparable=xi < 1.0,

@@ -13,6 +13,10 @@ class NonSymmetricError(CvopoError):
     """Covariance entries are asymmetric beyond tolerance."""
 
 
+class NonFiniteError(CvopoError):
+    """Covariance entries contain NaN or an infinity."""
+
+
 class InvalidTransformError(CvopoError):
     """A transform matrix does not preserve the symplectic form."""
 

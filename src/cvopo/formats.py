@@ -118,9 +118,18 @@ def document_to_matrix(doc: dict) -> tuple[CovarianceMatrix, dict]:
     return make_covariance(array, basis), metadata
 
 
+def load_document(path) -> dict:
+    """Read and parse a JSON document file; text that is not UTF-8 raises ``FormatError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return loads_document(text)
+
+
 def load_matrix(path) -> tuple[CovarianceMatrix, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return document_to_matrix(loads_document(fh.read()))
+    return document_to_matrix(load_document(path))
 
 
 def save_matrix(path, gamma: CovarianceMatrix, metadata: dict | None = None) -> None:
@@ -187,40 +196,25 @@ def document_to_condprep_config(doc: dict) -> CondPrepConfig:
     if missing:
         raise FormatError(f"missing condprep fields: {', '.join(missing)}")
     types = typing.get_type_hints(CondPrepConfig)
+    # float fields coerce through the finite check, so "inf" and "nan" strings fail too
+    coerce = {name: _finite_float if kind is float else kind for name, kind in types.items()}
     try:
         return CondPrepConfig(
-            **{f.name: types[f.name](doc[f.name]) for f in fields if f.name in doc}
+            **{f.name: coerce[f.name](doc[f.name]) for f in fields if f.name in doc}
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad condprep field: {exc}") from exc
 
 
 def condprep_result_to_document(result: CondPrepResult, cfg: CondPrepConfig) -> dict:
+    """``schema_version``, ``tool_version``, ``config`` and every result field; NaN is null."""
     return {
         "schema_version": "cvopo.condprep_result.v1",
         "tool_version": __version__,
         "config": condprep_config_to_document(cfg),
-        "fano_conditioned": _nan_to_none(result.fano_conditioned),
-        "fano_stderr": _nan_to_none(result.fano_stderr),
-        "success_rate": result.success_rate,
-        "n_selected": result.n_selected,
-        "n_samples": result.n_samples,
-        "empty_selection": result.empty_selection,
-        "per_band": [
-            {
-                "center": b.center,
-                "halfwidth": b.halfwidth,
-                "count": b.count,
-                "success_rate": b.success_rate,
-                "fano": _nan_to_none(b.fano),
-                "fano_stderr": _nan_to_none(b.fano_stderr),
-            }
-            for b in result.per_band
-        ],
+        **dataclasses.asdict(result, dict_factory=_nan_to_null),
     }
 
 
-def _nan_to_none(value: float):
-    if value != value:  # NaN
-        return None
-    return value
+def _nan_to_null(items) -> dict:
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in items}

@@ -8,6 +8,7 @@ vacua.  All operations are pure functions of immutable values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ from .errors import (
     BadEfficiencyError,
     BadShapeError,
     InvalidTransformError,
+    NonFiniteError,
     NonSymmetricError,
 )
 
@@ -103,20 +105,29 @@ class CovarianceMatrix:
         """det Gamma, read off the +-45 degree entries (see ``symplectic_eigenvalues``)."""
         return float(np.linalg.det(to_basis(self, ModeBasis.PLUS_MINUS).entries))
 
-    def with_entries(self, entries: np.ndarray) -> "CovarianceMatrix":
-        return make_covariance(entries, self.basis)
+    @functools.cached_property
+    def counterpart(self) -> "CovarianceMatrix":
+        """The same state in the other basis, converted on first use (see ``change_basis_pm``).
+
+        It does not point back: converting it again is a fresh computation.
+        """
+        return make_covariance(_H_PM @ self.entries @ _H_PM.T / 2.0, self.basis.flipped())
 
 
 def make_covariance(entries, basis: ModeBasis) -> CovarianceMatrix:
     """Validate and wrap a 4x4 symmetric matrix.
 
     Asymmetry up to ``SYMMETRY_TOL`` (relative to the largest entry) is
-    repaired by averaging; anything larger raises ``NonSymmetricError``.
+    repaired by averaging; anything larger raises ``NonSymmetricError``, and
+    a NaN or infinite entry raises ``NonFiniteError``.
     """
     m = np.asarray(entries, dtype=float)
     if m.shape != (4, 4):
         raise BadShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
+    # max() keeps its first argument unless a later one is larger, so NaN survives
+    scale = max(float(np.abs(m).max()), 1.0)
+    if not math.isfinite(scale):
+        raise NonFiniteError(f"matrix entries must be finite, got largest |G_ij| = {scale}")
     asym = float(np.abs(m - m.T).max())
     if asym > SYMMETRY_TOL * scale:
         raise NonSymmetricError(
@@ -179,15 +190,14 @@ def change_basis_pm(gamma: CovarianceMatrix) -> CovarianceMatrix:
     Determinant and symplectic spectrum are preserved.  Evaluated as
     H Gamma H^T / 2 with the +-1 matrix H, so only sums, differences and an
     exact halving touch the entries (vacuum maps to exactly the identity).
+    The result is kept as ``gamma.counterpart``, so each state converts once.
     """
-    return make_covariance(_H_PM @ gamma.entries @ _H_PM.T / 2.0, gamma.basis.flipped())
+    return gamma.counterpart
 
 
 def to_basis(gamma: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
     """Return ``gamma`` expressed in ``basis``, converting if necessary."""
-    if gamma.basis is basis:
-        return gamma
-    return change_basis_pm(gamma)
+    return gamma if gamma.basis is basis else gamma.counterpart
 
 
 @dataclass(frozen=True)
@@ -277,7 +287,7 @@ def apply_passive(gamma: CovarianceMatrix, transform: PassiveTransform) -> Covar
     if s.shape != (4, 4):
         raise InvalidTransformError(f"transform matrix must be 4x4, got {s.shape}")
     defect = float(np.abs(s @ SYMPLECTIC_FORM @ s.T - SYMPLECTIC_FORM).max())
-    if defect > SYMPLECTIC_TOL:
+    if not defect <= SYMPLECTIC_TOL:
         raise InvalidTransformError(
             f"matrix is not symplectic: |S J S^T - J| = {defect:.3e} exceeds {SYMPLECTIC_TOL:.0e}"
         )

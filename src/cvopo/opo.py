@@ -50,8 +50,8 @@ class OpoParams:
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise OutOfRangeError(f"sigma must lie in [0, 1), got {self.sigma}")
-        if self.omega < 0.0:
-            raise OutOfRangeError(f"omega must be non-negative, got {self.omega}")
+        if not 0.0 <= self.omega < math.inf:
+            raise OutOfRangeError(f"omega must be non-negative and finite, got {self.omega}")
         if not 0.0 <= self.eta <= 1.0:
             raise OutOfRangeError(f"eta must lie in [0, 1], got {self.eta}")
 
@@ -98,14 +98,19 @@ class CoupledStateParams:
     v_minus: tuple[float, float] = field(default=(1.0, 1.0))
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         v1, v2 = self.v_minus
-        if v1 > v2:
+        if not v1 <= v2:
             raise OutOfRangeError(f"v_minus must be ordered v1 <= v2, got {self.v_minus}")
-        if v1 <= 0.0:
-            raise OutOfRangeError(f"principal variances must be positive, got {self.v_minus}")
+        if not (0.0 < v1 and v2 < math.inf):
+            raise OutOfRangeError(
+                f"principal variances must be positive and finite, got {self.v_minus}"
+            )
+        if not math.isfinite(self.tilt_theta):
+            raise OutOfRangeError(f"tilt_theta must be finite, got {self.tilt_theta}")
         # same slack as the physicality gate: published variances are rounded
         # to three figures and undershoot v1*v2 = 1 by up to a few 1e-4
-        if v1 * v2 < 1.0 - PHYSICALITY_TOL:
+        if not v1 * v2 >= 1.0 - PHYSICALITY_TOL:
             raise UnphysicalBlockError(
                 f"A- block violates the uncertainty bound: v1*v2 = {v1 * v2}"
             )
@@ -138,7 +143,7 @@ def twin_difference_spectrum(omega: float, eta_overall: float) -> float:
     S(omega) = 1 - eta / (1 + omega^2); the floor 1 - eta is reached at zero
     frequency and the spectrum returns to shot noise at high frequency.
     """
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise OutOfRangeError(f"omega must be non-negative, got {omega}")
     if not 0.0 <= eta_overall <= 1.0:
         raise OutOfRangeError(f"eta must lie in [0, 1], got {eta_overall}")

@@ -275,6 +275,16 @@ class TestCondprep:
             band["count"] for band in doc["per_band"]
         ]
 
+    def test_no_estimated_band_prints_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "condprep", "--samples", "20000", "--band-halfwidth", "1e-4", "--seed", "14"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n_selected"] == 1
+        assert doc["fano_conditioned"] is None
+        assert doc["fano_stderr"] is None
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text('{"schema_version": "cvopo.condprep.v1"}')
@@ -305,6 +315,7 @@ class TestCondprep:
         ["opo-sweep", "--sigma", "0:nan:3"],
         ["opo-sweep", "--sigma", "0.5", "--eta", "nan"],
         ["opo-sweep", "--sigma", "0.5", "--coupled", "0.1,1.0,inf"],
+        ["condprep", "--config", "{string_config}"],
     ],
 )
 def test_non_finite_numbers_exit_2(fixture_dir, tmp_path, capsys, argv):
@@ -312,6 +323,7 @@ def test_non_finite_numbers_exit_2(fixture_dir, tmp_path, capsys, argv):
     vacuum = (fixture_dir / "vacuum.json").read_text()
     texts = {
         "config": config.replace('"band_halfwidth": 0.1', '"band_halfwidth": Infinity'),
+        "string_config": config.replace('"band_halfwidth": 0.1', '"band_halfwidth": "inf"'),
         "matrix": vacuum.replace("1.0", "NaN", 1),
         "overflow": vacuum.replace("1.0", "1e999", 1),
         "big_integer": vacuum.replace("1.0", "1" + "0" * 400, 1),
@@ -325,6 +337,26 @@ def test_non_finite_numbers_exit_2(fixture_dir, tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", "{directory}"],
+        ["criteria", "{latin1}"],
+        ["optimize", "{vacuum}", "--out", "{directory}"],
+        ["condprep", "--config", "{directory}"],
+        ["condprep", "--samples", "20000", "--dump-selected", "{directory}"],
+    ],
+)
+def test_unreadable_or_unwritable_files_exit_2(fixture_dir, tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes((fixture_dir / "vacuum.json").read_bytes().replace(b"{", b"{\xe9", 1))
+    paths = {"directory": tmp_path, "latin1": latin1, "vacuum": fixture_dir / "vacuum.json"}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cvopo: ") and "Traceback" not in err
 
 
 class TestOptimize:

@@ -229,6 +229,42 @@ class TestRun:
         with pytest.raises(OutOfRangeError):
             run_conditional_prep(make_config(n_samples=5_000))
 
+    def test_headline_averages_the_estimated_bands_only(self, monkeypatch):
+        # bands [-1.5, -0.5), [-0.5, 0.5), [0.5, 1.5): one sample, 5 samples, 7 samples
+        cfg = make_config(n_bands=3, band_halfwidth=0.5, n_samples=BLOCK_SIZE)
+        idler = np.full(BLOCK_SIZE, 10.0)
+        idler[:13] = [-1.0] + [0.0] * 5 + [1.0] * 7
+        signal = np.arange(BLOCK_SIZE, dtype=float) ** 2
+
+        def sparse_block(cfg, block_index, size=BLOCK_SIZE):
+            return signal, idler
+
+        monkeypatch.setattr(cvopo.condprep, "sample_block", sparse_block)
+        result = run_conditional_prep(cfg)
+        lone, middle, upper = result.per_band
+        assert [b.count for b in result.per_band] == [1, 5, 7]
+        assert math.isnan(lone.fano)
+        assert middle.fano == pytest.approx(np.var(signal[1:6], ddof=1), rel=1e-12)
+        assert upper.fano == pytest.approx(np.var(signal[6:13], ddof=1), rel=1e-12)
+        assert result.n_selected == 13
+        assert not result.empty_selection
+        assert result.fano_conditioned == pytest.approx(
+            (5 * middle.fano + 7 * upper.fano) / 12, rel=1e-12
+        )
+        assert result.fano_stderr == pytest.approx(
+            math.hypot(5 * middle.fano_stderr, 7 * upper.fano_stderr) / 12, rel=1e-12
+        )
+
+    def test_no_estimated_band_gives_nan(self):
+        # a single sample falls in this narrow band: no estimate, not a Fano factor of 0
+        result = run_conditional_prep(
+            make_config(n_samples=20_000, band_halfwidth=1e-4, seed=14)
+        )
+        assert result.n_selected == 1
+        assert not result.empty_selection
+        assert math.isnan(result.fano_conditioned)
+        assert math.isnan(result.fano_stderr)
+
 
 class TestMultiBand:
     def test_band_centers_tile_without_overlap(self):

@@ -1,15 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from cvopo import ModeBasis, classify, is_physical, make_covariance, vacuum_state
-from cvopo.condprep import CondPrepConfig
+from cvopo.condprep import BandResult, CondPrepConfig, CondPrepResult, run_conditional_prep
 from cvopo.errors import FormatError
 from cvopo.fixtures import fixture_document, fixture_names, write_fixtures
 from cvopo.formats import (
     REPORT_CSV_COLUMNS,
     condprep_config_to_document,
+    condprep_result_to_document,
     document_to_condprep_config,
     document_to_matrix,
     dumps_canonical,
@@ -204,3 +206,23 @@ class TestCondprepDocuments:
     def test_bad_schema(self):
         with pytest.raises(FormatError):
             document_to_condprep_config({"schema_version": "bogus"})
+
+    @pytest.mark.parametrize("band_center, n_bands", [(0.0, 3), (40.0, 1)])
+    def test_result_document_is_the_result_fields(self, band_center, n_bands):
+        cfg = CondPrepConfig(110.0, 110.0, 0.18, 0.5, 20_000, 1, band_center, n_bands)
+        result = run_conditional_prep(cfg)
+        doc = condprep_result_to_document(result, cfg)
+        names = [f.name for f in dataclasses.fields(CondPrepResult)]
+        band_names = {f.name for f in dataclasses.fields(BandResult)}
+        assert set(doc) == {"schema_version", "tool_version", "config"} | set(names)
+        assert doc["config"] == condprep_config_to_document(cfg)
+        assert len(doc["per_band"]) == n_bands
+        for band, source in zip(doc["per_band"], result.per_band):
+            assert set(band) == band_names
+            for name in band_names:
+                value = getattr(source, name)
+                assert band[name] == (None if value != value else value)
+        for name in set(names) - {"per_band"}:
+            value = getattr(result, name)
+            assert doc[name] == (None if value != value else value)
+        json.loads(dumps_canonical(doc))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,19 @@ from cvopo import (
     symplectic_eigenvalues,
     vacuum_state,
 )
+from cvopo.condprep import CondPrepConfig
+from cvopo.criteria import CorrelationStats
 from cvopo.errors import (
+    BadCorrelationError,
     BadEfficiencyError,
     BadShapeError,
     InvalidTransformError,
+    NonFiniteError,
     NonSymmetricError,
+    OutOfRangeError,
 )
-from cvopo.gaussian import SYMPLECTIC_FORM, CovarianceMatrix, PassiveTransform
+from cvopo.gaussian import SYMPLECTIC_FORM, CovarianceMatrix, PassiveTransform, to_basis
+from cvopo.opo import CoupledStateParams, OpoParams
 
 from conftest import PUBLISHED_A1A2, PUBLISHED_APM, random_physical_state
 
@@ -139,6 +147,17 @@ class TestBasisChange:
         twice = change_basis_pm(change_basis_pm(a1a2_state))
         assert np.allclose(twice.entries, a1a2_state.entries, atol=1e-12, rtol=1e-12)
         assert twice.basis is a1a2_state.basis
+
+    def test_conversion_is_kept_and_bitwise_fresh(self, a1a2_state):
+        state = make_covariance(a1a2_state.entries, ModeBasis.SIGNAL_IDLER)
+        pm = to_basis(state, ModeBasis.PLUS_MINUS)
+        assert change_basis_pm(state) is pm
+        assert to_basis(state, ModeBasis.SIGNAL_IDLER) is state
+        h = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=float)
+        fresh = make_covariance(h @ state.entries @ h.T / 2.0, ModeBasis.PLUS_MINUS)
+        assert np.array_equal(pm.entries, fresh.entries)
+        back = make_covariance(h @ pm.entries @ h.T / 2.0, ModeBasis.SIGNAL_IDLER)
+        assert np.array_equal(to_basis(pm, ModeBasis.SIGNAL_IDLER).entries, back.entries)
 
     def test_vacuum_maps_to_vacuum(self):
         out = change_basis_pm(vacuum_state())
@@ -256,3 +275,37 @@ class TestLosses:
         state = random_physical_state(np.random.default_rng(seed))
         out = add_losses(state, LossModel(eta_a, eta_b))
         assert symplectic_eigenvalues(out)[0] >= 1.0 - 1e-9
+
+
+def _with_entry(value):
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: CondPrepConfig(math.nan, 1.0, 0.1, 0.1, 20_000, 1), OutOfRangeError),
+        (lambda: CondPrepConfig(math.inf, 1.0, 0.1, 0.1, 20_000, 1), OutOfRangeError),
+        (lambda: CondPrepConfig(1.0, 1.0, math.nan, 0.1, 20_000, 1), OutOfRangeError),
+        (lambda: CondPrepConfig(1.0, 1.0, 0.1, math.nan, 20_000, 1), OutOfRangeError),
+        (lambda: CondPrepConfig(1.0, 1.0, 0.1, 0.1, 20_000, 1, math.nan), OutOfRangeError),
+        (lambda: CorrelationStats(math.nan, 0.5), BadCorrelationError),
+        (lambda: CorrelationStats(1.0, math.nan), BadCorrelationError),
+        (lambda: CorrelationStats.from_gemellity(1.0, math.nan), BadCorrelationError),
+        (lambda: OpoParams(0.5, omega=math.nan), OutOfRangeError),
+        (lambda: OpoParams(0.5, omega=math.inf), OutOfRangeError),
+        (lambda: CoupledStateParams(OpoParams(0.5), 0.1, (math.nan, math.nan)), OutOfRangeError),
+        (lambda: CoupledStateParams(OpoParams(0.5), 0.1, (1.0, math.inf)), OutOfRangeError),
+        (lambda: CoupledStateParams(OpoParams(0.5), math.nan), OutOfRangeError),
+        (lambda: make_covariance(_with_entry(math.nan), ModeBasis.PLUS_MINUS), NonFiniteError),
+        (lambda: make_covariance(_with_entry(math.inf), ModeBasis.SIGNAL_IDLER), NonFiniteError),
+        (lambda: apply_passive(vacuum_state(), phase_shift(0, math.nan)), InvalidTransformError),
+    ],
+)
+def test_library_rejects_nan_and_infinite_parameters(build, error):
+    with pytest.raises(error):
+        build()
+    # an infinite band keeps every sample and stays valid
+    assert CondPrepConfig(1.0, 1.0, 0.1, math.inf, 20_000, 1).band_halfwidth == math.inf
