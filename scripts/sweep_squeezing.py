@@ -11,33 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
-from cvopo import (
-    OpoParams,
-    below_threshold_covariance,
-    eof,
-    log_negativity,
-    separability,
-    twin_difference_spectrum,
-    variance_to_db,
-)
+from cvopo import sweep, twin_difference_spectrum, variance_to_db
+
+SWEEP_HEADER = ["sigma", "omega", "v_sq", "v_anti", "v_sq_db", "separability",
+                "eof_ebits", "log_negativity"]
 
 
 def sweep_rows(sigmas, omegas, eta):
-    for sigma in sigmas:
-        for omega in omegas:
-            state = below_threshold_covariance(OpoParams(sigma=sigma, omega=omega, eta=eta))
-            v_anti, v_sq = state.entries[0, 0], state.entries[1, 1]
-            sep = separability(state)
-            yield [
-                sigma,
-                omega,
-                v_sq,
-                v_anti,
-                variance_to_db(v_sq),
-                sep,
-                eof(sep),
-                log_negativity(state)[0],
-            ]
+    """``cvopo.sweep`` (the same rows as ``cvopo opo-sweep``) with v_sq in dB."""
+    columns = {name: values.tolist() for name, values in sweep(sigmas, omegas, eta).items()}
+    columns["v_sq_db"] = [variance_to_db(v) for v in columns["v_sq"]]
+    return zip(*(columns[name] for name in SWEEP_HEADER))
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -51,17 +35,14 @@ def write_csv(path: Path, header, rows) -> None:
 def main() -> None:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("sweeps")
     out.mkdir(parents=True, exist_ok=True)
-    header = ["sigma", "omega", "v_sq", "v_anti", "v_sq_db", "separability",
-              "eof_ebits", "log_negativity"]
-
     write_csv(
         out / "pump_sweep.csv",
-        header,
+        SWEEP_HEADER,
         sweep_rows(np.linspace(0.05, 0.98, 60), [0.0], eta=0.9),
     )
     write_csv(
         out / "frequency_sweep.csv",
-        header,
+        SWEEP_HEADER,
         sweep_rows([0.9], np.linspace(0.0, 5.0, 80), eta=0.9),
     )
     write_csv(

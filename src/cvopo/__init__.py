@@ -56,11 +56,13 @@ from .gaussian import (
     vacuum_state,
 )
 from .opo import (
+    SWEEP_COLUMNS,
     CoupledStateParams,
     OpoParams,
     below_threshold_covariance,
     below_threshold_variances,
     coupled_covariance,
+    sweep,
     twin_difference_spectrum,
 )
 from .optimize import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .condprep import CondPrepConfig, run_conditional_prep
-from .criteria import classify, eof, gemellity_from_covariance, log_negativity, separability
+from .criteria import classify
 from .errors import CvopoError, FormatError
 from .fixtures import CONDPREP_REFERENCE, fixture_names, write_fixtures
 from .formats import (
@@ -26,26 +27,14 @@ from .formats import (
     document_to_condprep_config,
     dumps_canonical,
     load_document,
-    load_matrix,
+    read_matrix,
     report_document,
     report_to_csv,
     save_matrix,
-    sha256_of_file,
 )
-from .gaussian import ModeBasis, is_physical, to_basis
-from .opo import CoupledStateParams, OpoParams, below_threshold_covariance, coupled_covariance
+from .gaussian import ModeBasis, is_physical
+from .opo import SWEEP_COLUMNS, sweep
 from .optimize import optimize_nonlocal_phase
-
-SWEEP_COLUMNS = (
-    "sigma",
-    "omega",
-    "v_sq",
-    "v_anti",
-    "gemellity_x",
-    "separability",
-    "eof_ebits",
-    "log_negativity",
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,14 +79,15 @@ def _parse_range(text: str, name: str) -> list[float]:
 
 
 def _load_physical_matrix(path, allow_unphysical: bool = False):
-    gamma, metadata = load_matrix(path)
+    """The matrix of a file and the SHA-256 of the bytes it was parsed from."""
+    gamma, _, digest = read_matrix(path)
     ok, nu_min = is_physical(gamma)
     if not ok and not allow_unphysical:
         raise _Unphysical(
             f"{path}: smallest symplectic eigenvalue {nu_min:.6g} violates the "
             f"uncertainty bound nu >= 1"
         )
-    return gamma, metadata
+    return gamma, digest
 
 
 class _Unphysical(CvopoError):
@@ -105,9 +95,9 @@ class _Unphysical(CvopoError):
 
 
 def _cmd_criteria(args) -> int:
-    gamma, _ = _load_physical_matrix(args.matrix, args.allow_unphysical)
+    gamma, digest = _load_physical_matrix(args.matrix, args.allow_unphysical)
     report = classify(gamma)
-    doc = report_document(report, gamma.basis, sha256_of_file(args.matrix))
+    doc = report_document(report, gamma.basis, digest)
     if args.format == "csv":
         sys.stdout.write(report_to_csv(doc))
     else:
@@ -128,33 +118,11 @@ def _cmd_opo_sweep(args) -> int:
         except ValueError as exc:
             raise FormatError(f"bad --coupled value: {exc}") from exc
 
+    columns = sweep(sigmas, omegas, args.eta, coupled)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for sigma in sigmas:
-        for omega in omegas:
-            base = OpoParams(sigma=sigma, omega=omega, eta=args.eta)
-            if coupled is None:
-                state = below_threshold_covariance(base)
-            else:
-                theta, v1, v2 = coupled
-                state = coupled_covariance(
-                    CoupledStateParams(base=base, tilt_theta=theta, v_minus=(v1, v2))
-                )
-            pm = to_basis(state, ModeBasis.PLUS_MINUS)
-            sep = separability(state)
-            writer.writerow(
-                [
-                    repr(float(sigma)),
-                    repr(float(omega)),
-                    repr(float(pm.entries[1, 1])),
-                    repr(float(pm.entries[0, 0])),
-                    repr(gemellity_from_covariance(state, "x_difference")),
-                    repr(sep),
-                    repr(eof(sep)),
-                    repr(log_negativity(state)[0]),
-                ]
-            )
+    writer.writerows(zip(*(map(repr, columns[name].tolist()) for name in SWEEP_COLUMNS)))
     sys.stdout.write(buf.getvalue())
     return EXIT_OK
 
@@ -214,12 +182,12 @@ def _cmd_condprep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    gamma, _ = _load_physical_matrix(args.matrix)
+    gamma, digest = _load_physical_matrix(args.matrix)
     outcome = optimize_nonlocal_phase(gamma)
     doc = {
         "schema_version": "cvopo.optimize.v1",
         "tool_version": __version__,
-        "input_sha256": sha256_of_file(args.matrix),
+        "input_sha256": digest,
         "best_phase_rad": outcome.best_phase,
         "e_n_before": outcome.e_n_before,
         "e_n_after": outcome.e_n_after,
@@ -322,10 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and reused: parsing
+    does not change it, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,7 +31,14 @@ from .errors import (
     NonPositiveVarianceError,
     NumericalFailureError,
 )
-from .gaussian import CovarianceMatrix, ModeBasis, make_covariance, to_basis
+from .gaussian import (
+    CovarianceMatrix,
+    ModeBasis,
+    _first_where,
+    _pm_determinant,
+    make_covariance,
+    to_basis,
+)
 
 __all__ = [
     "CorrelationStats",
@@ -112,19 +119,77 @@ def gemellity_from_covariance(gamma: CovarianceMatrix, quadrature: str = "x_diff
     ``"p_sum"`` for G_P = (G22 + G44 + 2 G24)/2, read off the +-45 degree
     basis as G_X = Var X_- and G_P = Var P_+.
     """
-    m = to_basis(gamma, ModeBasis.PLUS_MINUS).entries
+    g_x, g_p = _gemellities(to_basis(gamma, ModeBasis.PLUS_MINUS).entries)
     if quadrature == "x_difference":
-        return float(m[2, 2])
+        return float(g_x)
     if quadrature == "p_sum":
-        return float(m[1, 1])
+        return float(g_p)
     raise ValueError(f"quadrature must be 'x_difference' or 'p_sum', got {quadrature!r}")
 
 
 def separability(gamma: CovarianceMatrix) -> float:
     """Half-sum of the X-difference gemellity and the P-sum antigemellity."""
-    g_x = gemellity_from_covariance(gamma, "x_difference")
-    g_p = gemellity_from_covariance(gamma, "p_sum")
+    return float(_separability(*_gemellities(to_basis(gamma, ModeBasis.PLUS_MINUS).entries)))
+
+
+# -- invariant core over (..., 4, 4) stacks (see ``cvopo.opo.sweep``); the
+# single-state functions call it with one matrix.
+
+
+def _gemellities(pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(G_X, G_P) = (Var X_-, Var P_+)``, read off +-45 degree entries."""
+    return pm[..., 2, 2], pm[..., 1, 1]
+
+
+def _separability(g_x, g_p):
+    """I = (G_X + G_P) / 2, elementwise."""
     return (g_x + g_p) / 2.0
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _invariants(si: np.ndarray, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(D, det G)`` from one state's entries in both bases.
+
+    D = det g_A + det g_B - 2 det s_AB on the signal/idler blocks (V_anti^2 +
+    V_sq^2 for the ideal state, no cancellation).  det G is read off the
+    +-45 degree entries: near threshold it is ~1 while the signal/idler
+    entries are ~V_anti/2.
+    """
+    d = _det2(si[..., :2, :2]) + _det2(si[..., 2:, 2:]) - 2.0 * _det2(si[..., :2, 2:])
+    return d, _pm_determinant(pm)
+
+
+def _xi(d, det) -> np.ndarray:
+    """Smallest symplectic eigenvalue of the partial transpose, elementwise.
+
+    xi^2 = 2 det G / (D + sqrt(D^2 - 4 det G)) is the conjugate of
+    (D - sqrt(D^2 - 4 det G)) / 2, which avoids its cancellation.  The first
+    inconsistent entry raises ``NumericalFailureError``.
+    """
+    disc = d * d - 4.0 * det
+    # both terms are ~D^2, so rounding alone leaves |disc| up to a few eps D^2
+    bad = disc < -1e-9 * np.maximum(1.0, d * d)
+    if np.count_nonzero(bad):
+        raise NumericalFailureError(
+            f"negative discriminant {_first_where(bad, disc):.3e}: inconsistent matrix"
+        )
+    denom = d + np.sqrt(np.maximum(disc, 0.0))
+    bad = (denom <= 0.0) | (det <= 0.0)
+    if np.count_nonzero(bad):
+        raise NumericalFailureError(
+            f"non-positive xi^2 (D = {_first_where(bad, d):.3e}, "
+            f"det = {_first_where(bad, det):.3e}): inconsistent matrix"
+        )
+    return np.sqrt(2.0 * det / denom)
+
+
+def _e_n(xi: float) -> float:
+    """max(0, -log2 xi) for one point, through libm: numpy's log2 differs
+    from it in the last digit on about 0.2% of arguments."""
+    return max(0.0, -math.log2(xi))
 
 
 def is_standard_form(gamma: CovarianceMatrix, tol: float = 1e-9) -> bool:
@@ -179,10 +244,6 @@ def eof(i: float) -> float:
     return (2.0 * math.log1p(u) + 4.0 * c_minus * math.atanh(i)) / math.log(2.0)
 
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def _conditional_variance(gamma: CovarianceMatrix, quadrature: int) -> float:
     """Var of quadrature 0 (X) or 1 (P) of beam 1 given beam 2: the Schur
     complement G_qq - G_q,q+2^2 / G_q+2,q+2, evaluated as det / G_q+2,q+2
@@ -204,30 +265,16 @@ def epr_product(gamma: CovarianceMatrix) -> float:
 
 
 def _seralian(gamma: CovarianceMatrix) -> tuple[float, float]:
-    """``(D, det G)``, D = det g_A + det g_B - 2 det s_AB on signal/idler blocks.
-
-    det G is basis-invariant and read off the +-45 degree entries: near
-    threshold it is ~1 while the signal/idler entries are ~V_anti/2.  D
-    (V_anti^2 + V_sq^2 for the ideal state) has no such cancellation.
-    """
-    m = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries
-    d = _det2(m[:2, :2]) + _det2(m[2:, 2:]) - 2.0 * _det2(m[:2, 2:])
-    return d, gamma.determinant()
+    """``(D, det G)`` of one state (see ``_invariants``)."""
+    si = to_basis(gamma, ModeBasis.SIGNAL_IDLER).entries
+    d, det = _invariants(si, to_basis(gamma, ModeBasis.PLUS_MINUS).entries)
+    return float(d), float(det)
 
 
 def _negativity(d: float, det: float) -> tuple[float, float]:
-    """``(e_n, xi)`` from the seralian D and det G of the state."""
-    disc = d * d - 4.0 * det
-    # both terms are ~D^2, so rounding alone leaves |disc| up to a few eps D^2
-    if disc < -1e-9 * max(1.0, d * d):
-        raise NumericalFailureError(f"negative discriminant {disc:.3e}: inconsistent matrix")
-    denom = d + math.sqrt(max(disc, 0.0))
-    if denom <= 0.0 or det <= 0.0:
-        raise NumericalFailureError(
-            f"non-positive xi^2 (D = {d:.3e}, det = {det:.3e}): inconsistent matrix"
-        )
-    xi = math.sqrt(2.0 * det / denom)
-    return max(0.0, -math.log2(xi)), xi
+    """``(e_n, xi)`` from the seralian D and det G of the state (see ``_xi``)."""
+    xi = float(_xi(d, det))
+    return _e_n(xi), xi
 
 
 def log_negativity(gamma: CovarianceMatrix) -> tuple[float, float]:
@@ -249,10 +296,18 @@ def max_log_negativity(gamma: CovarianceMatrix) -> float:
     """Largest log negativity reachable by passive operations.
 
     Set by the two smallest ordinary eigenvalues of the covariance matrix:
-    -log2(l1 l2)/2, clamped at zero.
+    -log2(l1 l2)/2, clamped at zero.  The eigenvalues are basis-invariant and
+    taken of the +-45 degree entries, which hold the squeezed variances
+    without the large-minus-large remainder of the signal/idler entries.  A
+    non-positive l1 l2 (an unphysical matrix) raises ``NumericalFailureError``.
     """
-    lam = np.sort(np.linalg.eigvalsh(gamma.entries))
-    return max(0.0, -math.log2(lam[0] * lam[1]) / 2.0)
+    lam = np.linalg.eigvalsh(to_basis(gamma, ModeBasis.PLUS_MINUS).entries)
+    product = float(lam[0] * lam[1])
+    if not product > 0.0:
+        raise NumericalFailureError(
+            f"non-positive eigenvalue product l1 l2 = {product:.3e}: unphysical matrix"
+        )
+    return max(0.0, -math.log2(product) / 2.0)
 
 
 def variance_to_db(variance: float) -> float:
@@ -360,7 +415,7 @@ def classify(
         g_p = gemellity_from_covariance(gamma, "p_sum")
         v_p = _conditional_variance(gamma, 1)
 
-    sep = (g_x + g_p) / 2.0
+    sep = _separability(g_x, g_p)
     e_n, xi = log_negativity(gamma)
     report = CriteriaReport(
         gemellity_x=g_x,

@@ -118,14 +118,29 @@ def document_to_matrix(doc: dict) -> tuple[CovarianceMatrix, dict]:
     return make_covariance(array, basis), metadata
 
 
-def load_document(path) -> dict:
-    """Read and parse a JSON document file; text that is not UTF-8 raises ``FormatError``."""
+def read_document(path) -> tuple[dict, str]:
+    """Read a JSON document file once: the parsed document and the SHA-256
+    of the bytes it was parsed from.  Text that is not UTF-8 raises
+    ``FormatError``; line endings are read as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return loads_document(text)
+    text = io.StringIO(text, newline=None).read()
+    return loads_document(text), hashlib.sha256(data).hexdigest()
+
+
+def load_document(path) -> dict:
+    """Read and parse a JSON document file (see ``read_document``)."""
+    return read_document(path)[0]
+
+
+def read_matrix(path) -> tuple[CovarianceMatrix, dict, str]:
+    """The matrix and metadata of a file, and the SHA-256 of the bytes parsed."""
+    doc, digest = read_document(path)
+    return (*document_to_matrix(doc), digest)
 
 
 def load_matrix(path) -> tuple[CovarianceMatrix, dict]:
@@ -135,11 +150,6 @@ def load_matrix(path) -> tuple[CovarianceMatrix, dict]:
 def save_matrix(path, gamma: CovarianceMatrix, metadata: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(matrix_to_document(gamma, metadata)))
-
-
-def sha256_of_file(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def report_document(

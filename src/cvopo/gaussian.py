@@ -103,7 +103,7 @@ class CovarianceMatrix:
 
     def determinant(self) -> float:
         """det Gamma, read off the +-45 degree entries (see ``symplectic_eigenvalues``)."""
-        return float(np.linalg.det(to_basis(self, ModeBasis.PLUS_MINUS).entries))
+        return float(_pm_determinant(to_basis(self, ModeBasis.PLUS_MINUS).entries))
 
     @functools.cached_property
     def counterpart(self) -> "CovarianceMatrix":
@@ -111,7 +111,7 @@ class CovarianceMatrix:
 
         It does not point back: converting it again is a fresh computation.
         """
-        return make_covariance(_H_PM @ self.entries @ _H_PM.T / 2.0, self.basis.flipped())
+        return make_covariance(_flip_basis(self.entries), self.basis.flipped())
 
 
 def make_covariance(entries, basis: ModeBasis) -> CovarianceMatrix:
@@ -124,19 +124,72 @@ def make_covariance(entries, basis: ModeBasis) -> CovarianceMatrix:
     m = np.asarray(entries, dtype=float)
     if m.shape != (4, 4):
         raise BadShapeError(f"expected a 4x4 matrix, got shape {m.shape}")
-    # max() keeps its first argument unless a later one is larger, so NaN survives
-    scale = max(float(np.abs(m).max()), 1.0)
-    if not math.isfinite(scale):
-        raise NonFiniteError(f"matrix entries must be finite, got largest |G_ij| = {scale}")
-    asym = float(np.abs(m - m.T).max())
-    if asym > SYMMETRY_TOL * scale:
+    return CovarianceMatrix(entries=_covariance_stack(m), basis=basis)
+
+
+# -- invariant core over (..., 4, 4) stacks; the single-state functions call
+# it with one matrix, so each formula exists once.
+
+
+def _covariance_stack(entries) -> np.ndarray:
+    """``make_covariance``'s checks and symmetrization over a ``(..., 4, 4)``
+    stack, each matrix against its own largest entry; the first offending
+    matrix names the error.  The result is read-only.
+    """
+    m = np.asarray(entries, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise BadShapeError(f"expected 4x4 matrices, got shape {m.shape}")
+    m_t = np.swapaxes(m, -1, -2)
+    # the maximum of an array holding NaN is NaN, so NaN survives into scale
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    # np.count_nonzero is any() at a third of the cost on one matrix's scalars
+    nonfinite = ~np.isfinite(scale)
+    if np.count_nonzero(nonfinite):
+        largest = _first_where(nonfinite, scale)
+        raise NonFiniteError(f"matrix entries must be finite, got largest |G_ij| = {largest}")
+    asym = np.abs(m - m_t).max(axis=(-2, -1))
+    asymmetric = asym > SYMMETRY_TOL * scale
+    if np.count_nonzero(asymmetric):
         raise NonSymmetricError(
-            f"matrix is asymmetric: max |G_ij - G_ji| = {asym:.3e} "
+            f"matrix is asymmetric: max |G_ij - G_ji| = {_first_where(asymmetric, asym):.3e} "
             f"exceeds {SYMMETRY_TOL:.0e} relative tolerance"
         )
-    sym = (m + m.T) / 2.0
+    sym = (m + m_t) / 2.0
     sym.setflags(write=False)
-    return CovarianceMatrix(entries=sym, basis=basis)
+    return sym
+
+
+def _first_where(mask, values) -> float:
+    """The entry of ``values`` at the first true entry of ``mask`` (scalars or arrays)."""
+    return float(np.ravel(values)[np.flatnonzero(mask)[0]])
+
+
+def _flip_basis(entries: np.ndarray) -> np.ndarray:
+    """H Gamma H^T / 2 over a ``(..., 4, 4)`` stack: the +-1 basis change.
+
+    Only sums, differences and an exact halving touch the entries; the
+    result is not yet validated (see ``_covariance_stack``).
+    """
+    return _H_PM @ entries @ _H_PM.T / 2.0
+
+
+def _pm_determinant(pm: np.ndarray) -> np.ndarray:
+    """det Gamma over a ``(..., 4, 4)`` stack of +-45 degree entries.
+
+    det Gamma is basis-invariant, but near threshold the signal/idler
+    entries hold V_sq only as a large-minus-large remainder.
+    """
+    return np.linalg.det(pm)
+
+
+def _lossy_entries(entries: np.ndarray, eta_a: float, eta_b: float) -> np.ndarray:
+    """Vacuum-mixing loss over a ``(..., 4, 4)`` stack (see ``add_losses``); not validated."""
+    out = np.array(entries)
+    out[..., :2, :2] = eta_a * entries[..., :2, :2] + (1.0 - eta_a) * np.eye(2)
+    out[..., 2:, 2:] = eta_b * entries[..., 2:, 2:] + (1.0 - eta_b) * np.eye(2)
+    out[..., :2, 2:] = math.sqrt(eta_a * eta_b) * entries[..., :2, 2:]
+    out[..., 2:, :2] = np.swapaxes(out[..., :2, 2:], -1, -2)
+    return out
 
 
 def vacuum_state(basis: ModeBasis = ModeBasis.SIGNAL_IDLER) -> CovarianceMatrix:
@@ -310,10 +363,4 @@ class LossModel:
 def add_losses(gamma: CovarianceMatrix, loss: LossModel) -> CovarianceMatrix:
     """Mix each mode with vacuum: blocks map as eta*G + (1 - eta)*I, the
     cross block scales by sqrt(eta_a * eta_b)."""
-    out = np.array(gamma.entries)
-    out[:2, :2] = loss.eta_a * gamma.block_a + (1.0 - loss.eta_a) * np.eye(2)
-    out[2:, 2:] = loss.eta_b * gamma.block_b + (1.0 - loss.eta_b) * np.eye(2)
-    scale = math.sqrt(loss.eta_a * loss.eta_b)
-    out[:2, 2:] = scale * gamma.cross
-    out[2:, :2] = out[:2, 2:].T
-    return make_covariance(out, gamma.basis)
+    return make_covariance(_lossy_entries(gamma.entries, loss.eta_a, loss.eta_b), gamma.basis)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvopo import ModeBasis, OpoParams, below_threshold_covariance, to_basis
+from cvopo import ModeBasis, OpoParams, __version__, below_threshold_covariance, to_basis
 from cvopo.cli import build_parser, main
 from cvopo.condprep import CondPrepConfig
 from cvopo.fixtures import CONDPREP_REFERENCE
@@ -207,6 +208,59 @@ class TestOpoSweep:
         code, _, err = run_cli(capsys, *argv)
         assert code in (2, 3)
         assert err
+
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (["--sigma", "0.5533740829422388", "--omega", "0.2663967864085959",
+              "--eta", "0.025420049362682717"],
+             "0.5533740829422388,0.2663967864085959,0.9773475910176265,1.2080564218575578,"
+             "0.9773475910176265,0.9773475910176265,0.0018819663908865418,0.03305635085749218"),
+            (["--sigma", "0.223843", "--omega", "0.6236746666666666", "--eta", "0.737733",
+              "--coupled", "1.05561,0.880718,3.954736"],
+             "0.223843,0.6236746666666666,0.649905208380694,1.6662823099523663,"
+             "2.6292959504319318,1.6396005794063129,0.0,0.001774845732700167"),
+        ],
+        ids=["uncoupled", "coupled"],
+    )  # fmt: skip
+    def test_rows_are_frozen_to_the_last_digit(self, capsys, argv, row):
+        # squares through libm pow, as the point-by-point sweep took them;
+        # x * x changes v_anti and log_negativity here in the last digit
+        code, out, _ = run_cli(capsys, "opo-sweep", *argv)
+        assert (code, out.splitlines()[1:]) == (0, [row])
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--sigma", "0.3:1.5:3", "--omega", "0:1:2"], 3,
+             "cvopo: OutOfRangeError: sigma must lie in [0, 1), got 1.5\n"),
+            (["--sigma", "0.5", "--omega", "0:-1:3"], 3,
+             "cvopo: OutOfRangeError: omega must be non-negative and finite, got -0.5\n"),
+            (["--sigma", "0:nan:3"], 2, "cvopo: bad --sigma range '0:nan:3': values must be finite\n"),
+            (["--sigma", "0.5", "--omega", "inf"], 2,
+             "cvopo: bad --omega range 'inf': values must be finite\n"),
+            (["--sigma", "0.5:0.9:3", "--eta", "1.5"], 3,
+             "cvopo: OutOfRangeError: eta must lie in [0, 1], got 1.5\n"),
+            (["--sigma", "0.5", "--eta", "nan"], 2,
+             "usage: cvopo opo-sweep [-h] --sigma SIGMA [--omega OMEGA] [--eta ETA]\n"
+             "                       [--coupled COUPLED]\n"
+             "cvopo opo-sweep: error: argument --eta: invalid float value: 'nan'\n"),
+            (["--sigma", "0.5:0.9:3", "--coupled", "0.3,2.0,1.0"], 3,
+             "cvopo: OutOfRangeError: v_minus must be ordered v1 <= v2, got (2.0, 1.0)\n"),
+            (["--sigma", "0.5:0.9:3", "--coupled", "0.3,0.1,1.0"], 3,
+             "cvopo: UnphysicalBlockError: A- block violates the uncertainty bound: v1*v2 = 0.1\n"),
+            (["--sigma", "0.5", "--coupled", "0.1,1.0,inf"], 2,
+             "cvopo: bad --coupled value: values must be finite\n"),
+            (["--sigma", "1.5", "--coupled", "0.3,2.0,1.0"], 3,
+             "cvopo: OutOfRangeError: sigma must lie in [0, 1), got 1.5\n"),
+        ],
+    )  # fmt: skip
+    def test_invalid_grid_exit_code_and_message(self, capsys, monkeypatch, argv, code, err):
+        # the messages of the point-by-point sweep: the first offending grid
+        # point (sigma-major) names the error, checked in OpoParams order
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, "opo-sweep", *argv) == (code, "", err)
 
 
 class TestCondprep:
@@ -444,3 +498,65 @@ class TestProcessLevel:
             text=True,
         )
         json.loads(result.stdout)  # nothing but the document
+
+
+class TestRequestPath:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        import cvopo.cli as cli
+
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            assert run_cli(capsys, "opo-sweep", "--sigma", "0.5")[0] == 0
+            assert run_cli(capsys, "fixtures", "--list")[0] == 0
+            assert len(builds) == 1
+            assert cli._parser().format_help() == build_parser().format_help()
+        finally:
+            cli._parser.cache_clear()
+
+    def test_help_version_and_usage_errors_repeat_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = (["--help"], ["opo-sweep", "--help"], ["--version"], ["opo-sweep"])
+        first, second = ([run_cli(capsys, *argv) for argv in argvs] for _ in range(2))
+        assert first == second
+        assert first[0] == (0, build_parser().format_help(), "")
+        assert first[2] == (0, f"cvopo {__version__}\n", "")
+        code, out, err = first[3]
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: --sigma\n")
+
+    @pytest.mark.parametrize("command", ["criteria", "optimize"])
+    def test_input_is_read_once_and_hashed_as_parsed(
+        self, fixture_dir, capsys, monkeypatch, command
+    ):
+        import builtins
+
+        import cvopo.formats as formats
+
+        path = fixture_dir / "fig_matrix_a1a2.json"
+        opened, parsed = [], []
+        real_open, real_loads = builtins.open, formats.loads_document
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file) == path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def recording_loads(text):
+            parsed.append(text)
+            return real_loads(text)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(formats, "loads_document", recording_loads)
+        code, out, _ = run_cli(capsys, command, str(path))
+        assert code == 0
+        assert len(opened) == 1
+        assert len(parsed) == 1
+        digest = hashlib.sha256(parsed[0].encode("utf-8")).hexdigest()
+        assert json.loads(out)["input_sha256"] == digest

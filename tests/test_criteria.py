@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cvopo import (
     CorrelationStats,
     ModeBasis,
+    OpoParams,
     apply_passive,
+    below_threshold_covariance,
     change_basis_pm,
     classify,
     composite,
@@ -362,6 +364,30 @@ class TestMaxLogNegativity:
             for phi in np.linspace(0, np.pi, 360, endpoint=False)
         ]
         assert max(grid) <= e_n_max + 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("basis", list(ModeBasis))
+    def test_near_threshold_against_mpmath(self, sigma, basis):
+        # the ideal state as stored in either basis; the oracle is the exact
+        # spectrum of the stored entries
+        mpmath = pytest.importorskip("mpmath")
+        ideal = below_threshold_covariance(OpoParams(sigma=sigma))
+        stored = make_covariance(to_basis(ideal, basis).entries, basis)
+        if sigma == 0.9999 and basis is ModeBasis.SIGNAL_IDLER:
+            # V_sq = 2.5e-9 lies below the rounding of the ~2e8 signal/idler
+            # entries: the +-45 degree reading of the squeezed variance is 0
+            with pytest.raises(NumericalFailureError):
+                max_log_negativity(stored)
+            return
+        with mpmath.workdps(60):
+            lam = sorted(mpmath.eigsy(mpmath.matrix(stored.entries.tolist()))[0])
+            expected = float(-mpmath.log(lam[0] * lam[1], 2) / 2)
+        assert max_log_negativity(stored) == pytest.approx(expected, abs=1e-12)
+
+    def test_indefinite_matrix_raises_typed_error(self):
+        state = make_covariance(np.diag([-1.0, 1.0, 1.0, 1.0]), ModeBasis.SIGNAL_IDLER)
+        with pytest.raises(NumericalFailureError):
+            max_log_negativity(state)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

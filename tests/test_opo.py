@@ -1,21 +1,30 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvopo import (
+    SWEEP_COLUMNS,
     CoupledStateParams,
     ModeBasis,
     OpoParams,
     below_threshold_covariance,
     below_threshold_variances,
     coupled_covariance,
+    eof,
+    gemellity_from_covariance,
     log_negativity,
+    separability,
+    sweep,
     symplectic_eigenvalues,
+    to_basis,
     twin_difference_spectrum,
     variance_to_db,
 )
-from cvopo.errors import OutOfRangeError, UnphysicalBlockError
+from cvopo.errors import CvopoError, OutOfRangeError, UnphysicalBlockError
 
 from conftest import PUBLISHED_APM
 
@@ -168,3 +177,97 @@ class TestTwinSpectrum:
     def test_bounded(self, omega, eta):
         s = twin_difference_spectrum(omega, eta)
         assert 1.0 - eta <= s <= 1.0
+
+
+def _single_state_rows(sigmas, omegas, eta, coupled):
+    """The sweep rows point by point, through the single-state functions."""
+    rows = []
+    for sigma in sigmas:
+        for omega in omegas:
+            base = OpoParams(sigma=sigma, omega=omega, eta=eta)
+            if coupled is None:
+                state = below_threshold_covariance(base)
+            else:
+                theta, v1, v2 = coupled
+                state = coupled_covariance(CoupledStateParams(base, theta, (v1, v2)))
+            pm = to_basis(state, ModeBasis.PLUS_MINUS).entries
+            sep = separability(state)
+            rows.append(
+                (
+                    sigma,
+                    omega,
+                    pm[1, 1],
+                    pm[0, 0],
+                    gemellity_from_covariance(state, "x_difference"),
+                    sep,
+                    eof(sep),
+                    log_negativity(state)[0],
+                )
+            )
+    return [tuple(repr(float(v)) for v in row) for row in rows]
+
+
+def _sweep_rows(sigmas, omegas, eta, coupled):
+    columns = sweep(sigmas, omegas, eta, coupled)
+    assert tuple(columns) == SWEEP_COLUMNS
+    return list(zip(*(map(repr, columns[name].tolist()) for name in SWEEP_COLUMNS)))
+
+
+class TestSweep:
+    @given(
+        sigmas=st.lists(st.floats(0.0, 0.99999999), min_size=1, max_size=4),
+        omegas=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+        eta=etas,
+        coupled=st.none()
+        | st.tuples(st.floats(-7.0, 7.0), st.floats(0.05, 2.0), st.floats(1.0, 20.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_single_state_path_bitwise(self, sigmas, omegas, eta, coupled):
+        if coupled is not None:
+            theta, v1, product = coupled
+            coupled = (theta, v1, max(v1, product / v1))
+        try:
+            expected = _single_state_rows(sigmas, omegas, eta, coupled)
+        except CvopoError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                sweep(sigmas, omegas, eta, coupled)
+            return
+        assert _sweep_rows(sigmas, omegas, eta, coupled) == expected
+
+    def test_near_threshold_rows(self):
+        sigmas = [0.99, 0.999, 0.9999, 0.99999999]
+        for coupled in (None, (1.2228661116636982, 0.677, 1.476)):
+            for eta in (1.0, 0.97):
+                expected = _single_state_rows(sigmas, [0.0, 0.05], eta, coupled)
+                assert _sweep_rows(sigmas, [0.0, 0.05], eta, coupled) == expected
+
+    def test_sigma_major_order(self):
+        columns = sweep([0.1, 0.2], [0.0, 1.0, 2.0], 0.9)
+        assert columns["sigma"].tolist() == [0.1, 0.1, 0.1, 0.2, 0.2, 0.2]
+        assert columns["omega"].tolist() == [0.0, 1.0, 2.0] * 2
+
+    @pytest.mark.parametrize(
+        "sigmas, omegas, eta, coupled, error, message",
+        [
+            ([0.5, 0.9, 1.5], [0.0], 1.0, None, OutOfRangeError, "sigma must lie in [0, 1), got 1.5"),
+            ([0.5, math.nan], [0.0], 1.0, None, OutOfRangeError, "sigma must lie in [0, 1), got nan"),
+            ([0.5], [0.0, math.inf], 1.0, None, OutOfRangeError, "omega must be non-negative and finite, got inf"),
+            ([0.5, 2.0], [0.0, -1.0], 1.0, None, OutOfRangeError, "omega must be non-negative and finite, got -1.0"),
+            ([0.5, 0.7], [0.0], 1.5, None, OutOfRangeError, "eta must lie in [0, 1], got 1.5"),
+            ([1.5], [0.0], 1.5, None, OutOfRangeError, "sigma must lie in [0, 1), got 1.5"),
+            ([0.5], [0.0], 1.0, (0.3, 2.0, 1.0), OutOfRangeError, "v_minus must be ordered v1 <= v2, got (2.0, 1.0)"),
+            ([0.5], [0.0], 1.0, (0.3, 0.1, 1.0), UnphysicalBlockError, "A- block violates the uncertainty bound: v1*v2 = 0.1"),
+            ([0.5], [0.0], 1.0, (math.nan, 1.0, 1.0), OutOfRangeError, "tilt_theta must be finite, got nan"),
+        ],
+    )  # fmt: skip
+    def test_first_offending_point_names_the_error(
+        self, sigmas, omegas, eta, coupled, error, message
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            sweep(sigmas, omegas, eta, coupled)
+        with pytest.raises(error, match=re.escape(message)):
+            _single_state_rows(sigmas, omegas, eta, coupled)
+
+    def test_empty_grid(self):
+        columns = sweep([], [0.0], 0.9)
+        assert all(values.size == 0 for values in columns.values())

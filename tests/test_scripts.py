@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the package in src/."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -41,3 +42,29 @@ def test_sweep_squeezing_writes_three_csvs(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) > 1
+
+
+def test_sweep_squeezing_rows_equal_the_cli_rows(tmp_path):
+    out = tmp_path / "sweeps"
+    assert run_script("sweep_squeezing.py", str(out), cwd=tmp_path).returncode == 0
+    grids = {
+        "pump_sweep.csv": ["--sigma", "0.05:0.98:60", "--omega", "0", "--eta", "0.9"],
+        "frequency_sweep.csv": ["--sigma", "0.9", "--omega", "0:5:80", "--eta", "0.9"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for name, argv in grids.items():
+        cli = subprocess.run(
+            [sys.executable, "-m", "cvopo", "opo-sweep", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert cli.returncode == 0, cli.stderr
+        script_rows = list(csv.DictReader((out / name).read_text().splitlines()))
+        cli_rows = list(csv.DictReader(cli.stdout.splitlines()))
+        shared = set(script_rows[0]) & set(cli_rows[0])
+        assert len(shared) == 7
+        assert [{k: r[k] for k in shared} for r in script_rows] == [
+            {k: r[k] for k in shared} for r in cli_rows
+        ]
